@@ -98,7 +98,8 @@ def _flush_bench_snapshot():
     rendered measured-vs-paper reports ride along under
     ``artefact_reports``.
     """
-    from repro.perf.baseline import build_snapshot, write_snapshot
+    from repro.perf.baseline import build_snapshot
+    from repro.ratchet import write_snapshot
 
     doc = build_snapshot(
         results=[],

@@ -71,6 +71,9 @@ rm -rf "$fleet_tmp"
 echo "== repro quality compare (detection-quality ratchet vs committed baseline)"
 PYTHONPATH=src python -m repro quality compare QUALITY_BASELINE.json >/dev/null || status=1
 
+echo "== pytest perfbench (the frame-loop benchmark's own self-tests, ~15 s)"
+PYTHONPATH=src python3 -m pytest perfbench -q || status=1
+
 if [[ $fast -eq 0 ]]; then
     echo "== pytest (tier 1)"
     PYTHONPATH=src python -m pytest -x -q || status=1

@@ -1,4 +1,4 @@
-"""Ratcheting lint baseline, mirroring the ``BENCH_*.json`` gate.
+"""The lint gate: ``path::rule`` finding counts judged by the shared ratchet.
 
 A whole-program analyzer grows new rule families faster than legacy code
 can be cleaned up.  Rather than either silencing the new rules or
@@ -7,22 +7,32 @@ records the accepted findings as ``path::rule`` counts.  The gate
 (``repro lint --compare-baseline``) fails only when a count *exceeds*
 its baseline — new findings block, legacy findings are tracked, and
 every fix ratchets the baseline down via ``--update-baseline``.
+Writing, loading and the compare loop are :mod:`repro.ratchet`'s.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path, PurePath
 from typing import Iterable
 
+from repro import ratchet
 from repro.analysis.core import Violation
 from repro.errors import ConfigurationError
 
 BASELINE_SCHEMA = "repro.analysis/baseline"
 BASELINE_VERSION = 1
 DEFAULT_BASELINE_PATH = "LINT_BASELINE.json"
+
+SCHEMA = ratchet.Schema(
+    name=BASELINE_SCHEMA,
+    version=BASELINE_VERSION,
+    table="counts",
+    label="lint baseline",
+    error=ConfigurationError,
+    create_hint="repro lint --update-baseline",
+    version_key="version",
+)
 
 
 def normalize_path(path: str) -> str:
@@ -50,82 +60,68 @@ def collect_counts(violations: Iterable[Violation]) -> dict[str, int]:
 
 
 def write_baseline(path: str | Path, violations: Iterable[Violation]) -> None:
-    document = {
-        "schema": BASELINE_SCHEMA,
-        "version": BASELINE_VERSION,
-        "counts": collect_counts(violations),
-    }
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    ratchet.write_snapshot(
+        path,
+        {
+            "schema": BASELINE_SCHEMA,
+            "version": BASELINE_VERSION,
+            "counts": collect_counts(violations),
+        },
+    )
 
 
 def load_baseline(path: str | Path) -> dict[str, int]:
-    baseline_path = Path(path)
-    if not baseline_path.is_file():
-        raise ConfigurationError(
-            f"no lint baseline at {baseline_path}; create one with "
-            "`repro lint --update-baseline`"
-        )
-    try:
-        document = json.loads(baseline_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"unreadable lint baseline {baseline_path}: {exc}")
-    if document.get("schema") != BASELINE_SCHEMA:
-        raise ConfigurationError(
-            f"{baseline_path} is not a lint baseline "
-            f"(schema={document.get('schema')!r})"
-        )
-    counts = document.get("counts", {})
-    if not isinstance(counts, dict):
-        raise ConfigurationError(f"{baseline_path}: counts must be an object")
-    return {str(key): int(value) for key, value in counts.items()}
-
-
-@dataclass
-class BaselineComparison:
-    """The verdict of current findings against a committed baseline."""
-
-    #: ``(key, current_count, allowed_count)`` for keys over budget.
-    regressions: list[tuple[str, int, int]] = field(default_factory=list)
-    #: ``(key, baseline_count, current_count)`` for keys under budget.
-    improvements: list[tuple[str, int, int]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
+    counts = ratchet.load_snapshot(path, SCHEMA)["counts"]
+    for key, value in counts.items():
+        if type(value) is not int or value < 0:
+            raise ConfigurationError(
+                f"lint baseline {str(path)!r}: count for {key!r} must be a "
+                f"non-negative integer, got {value!r}"
+            )
+    return counts
 
 
 def compare_baseline(
     violations: Iterable[Violation], baseline: dict[str, int]
-) -> BaselineComparison:
+) -> ratchet.Report:
+    """Judge current findings per key; a key missing on one side counts 0."""
     current = collect_counts(violations)
-    comparison = BaselineComparison()
-    for key in sorted(set(current) | set(baseline)):
-        now = current.get(key, 0)
-        allowed = baseline.get(key, 0)
+    keys = set(current) | set(baseline)
+
+    def judge(allowed: int, now: int) -> str:
         if now > allowed:
-            comparison.regressions.append((key, now, allowed))
-        elif now < allowed:
-            comparison.improvements.append((key, allowed, now))
-    return comparison
+            return "worse"
+        return "better" if now < allowed else "same"
+
+    return ratchet.Report(
+        ratchet.compare(
+            {key: baseline.get(key, 0) for key in keys},
+            {key: current.get(key, 0) for key in keys},
+            judge,
+        )
+    )
 
 
 def render_comparison(
-    comparison: BaselineComparison, violations: Iterable[Violation]
+    comparison: ratchet.Report, violations: Iterable[Violation]
 ) -> str:
     """Human-readable gate verdict, new findings rendered individually."""
     lines: list[str] = []
     if comparison.regressions:
-        regressed_keys = {key for key, _, _ in comparison.regressions}
+        regressed_keys = {entry.name for entry in comparison.regressions}
         lines.append("reprolint baseline: NEW FINDINGS")
         for violation in violations:
             if baseline_key(violation) in regressed_keys:
                 lines.append(f"  {violation.render()}")
-        for key, now, allowed in comparison.regressions:
-            lines.append(f"  {key}: {now} findings (baseline allows {allowed})")
+        for entry in comparison.regressions:
+            lines.append(
+                f"  {entry.name}: {entry.current} findings "
+                f"(baseline allows {entry.baseline})"
+            )
     else:
         lines.append("reprolint baseline: ok (no findings beyond baseline)")
     if comparison.improvements:
-        fixed = sum(before - now for _, before, now in comparison.improvements)
+        fixed = sum(e.baseline - e.current for e in comparison.improvements)
         lines.append(
             f"  {fixed} baselined finding(s) fixed — ratchet with "
             "`repro lint --update-baseline`"

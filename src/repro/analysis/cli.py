@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             baseline = load_baseline(args.compare_baseline)
             comparison = compare_baseline(violations, baseline)
             print(render_comparison(comparison, violations))
-            return 0 if comparison.ok else 1
+            return 1 if comparison.has_regressions else 0
     except ConfigurationError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2

@@ -9,34 +9,70 @@ event vocabulary is, and which packages form the documented public API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 
 
-def _default_event_vocabulary() -> frozenset[str]:
-    # Single source of truth: the vocabulary declared next to Trace.emit.
-    from repro.zynq.events import EVENT_KINDS
+@dataclass(frozen=True)
+class EventVocabulary:
+    """One closed event vocabulary and the emitter calls bound by it.
 
-    return EVENT_KINDS
+    Attributes:
+        rule_id: The lint rule enforcing it.
+        calls: Emitters, as ``Owner.method`` or a bare function name; a
+            call matches on the last dotted component, as a method or a
+            free function.
+        kind_index: Position of the kind among the positional arguments
+            (a ``kind=`` keyword is checked too).
+        source: Dotted path of the declared vocabulary.
+    """
+
+    rule_id: str
+    calls: tuple[str, ...]
+    kind_index: int
+    source: str
 
 
-def _default_monitor_vocabulary() -> frozenset[str]:
-    # Single source of truth: the vocabulary declared next to Monitor.emit_event.
-    from repro.monitor.events import MONITOR_EVENT_KINDS
+#: The four declared vocabularies, each next to its emitter.
+EVENT_VOCABULARIES: tuple[EventVocabulary, ...] = (
+    EventVocabulary(
+        "event-vocabulary",
+        ("Trace.emit",),
+        2,
+        "repro.zynq.events.EVENT_KINDS",
+    ),
+    EventVocabulary(
+        "monitor-event-vocabulary",
+        ("Monitor.emit_event",),
+        0,
+        "repro.monitor.events.MONITOR_EVENT_KINDS",
+    ),
+    EventVocabulary(
+        "fleet-event-vocabulary",
+        ("FleetScheduler.fleet_event",),
+        0,
+        "repro.fleet.events.FLEET_EVENT_KINDS",
+    ),
+    EventVocabulary(
+        "quality-event-vocabulary",
+        ("quality_event",),
+        0,
+        "repro.quality.events.QUALITY_EVENT_KINDS",
+    ),
+)
 
-    return MONITOR_EVENT_KINDS
+
+def _default_vocabularies() -> dict[str, frozenset[str]]:
+    # Single source of truth: each vocabulary declared next to its emitter.
+    vocabularies = {}
+    for row in EVENT_VOCABULARIES:
+        module, name = row.source.rsplit(".", 1)
+        vocabularies[row.rule_id] = frozenset(getattr(import_module(module), name))
+    return vocabularies
 
 
-def _default_fleet_vocabulary() -> frozenset[str]:
-    # Single source of truth: the vocabulary next to FleetScheduler.fleet_event.
-    from repro.fleet.events import FLEET_EVENT_KINDS
-
-    return FLEET_EVENT_KINDS
-
-
-def _default_quality_vocabulary() -> frozenset[str]:
-    # Single source of truth: the vocabulary next to quality_event.
-    from repro.quality.events import QUALITY_EVENT_KINDS
-
-    return QUALITY_EVENT_KINDS
+def _within(module: str, packages: tuple[str, ...]) -> bool:
+    """True when ``module`` is one of ``packages`` or inside one."""
+    return any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
 
 
 def _default_wall_strip_keys() -> frozenset[str]:
@@ -71,10 +107,8 @@ class LintConfig:
         unit_stems: Name fragments that mark a value as time- or
             throughput-like and therefore unit-bearing.
         unit_suffixes: Accepted unit suffixes (the paper's units).
-        event_vocabulary: Legal ``Trace.emit`` event kinds.
-        monitor_vocabulary: Legal ``Monitor.emit_event`` event kinds.
-        fleet_vocabulary: Legal ``FleetScheduler.fleet_event`` event kinds.
-        quality_vocabulary: Legal ``quality_event`` event kinds.
+        vocabularies: Legal event kinds per vocabulary rule id (one
+            entry per row of :data:`EVENT_VOCABULARIES`).
         api_packages: Packages whose public surface must carry docstrings
             and complete type annotations.
         span_exempt_modules: Modules implementing the span machinery
@@ -130,12 +164,7 @@ class LintConfig:
     unit_suffixes: frozenset[str] = frozenset(
         {"s", "ms", "us", "ns", "mbs", "bps", "fps", "hz", "mhz", "cycles", "frames"}
     )
-    event_vocabulary: frozenset[str] = field(default_factory=_default_event_vocabulary)
-    monitor_vocabulary: frozenset[str] = field(default_factory=_default_monitor_vocabulary)
-    fleet_vocabulary: frozenset[str] = field(default_factory=_default_fleet_vocabulary)
-    quality_vocabulary: frozenset[str] = field(
-        default_factory=_default_quality_vocabulary
-    )
+    vocabularies: dict[str, frozenset[str]] = field(default_factory=_default_vocabularies)
     api_packages: tuple[str, ...] = ("repro.pipelines", "repro.zynq")
     span_exempt_modules: tuple[str, ...] = ("repro.telemetry",)
     bench_suite_packages: tuple[str, ...] = ("repro.perf.suites",)
@@ -182,22 +211,15 @@ class LintConfig:
 
     def in_sim_domain(self, module: str) -> bool:
         """True when ``module`` lives in a determinism-critical package."""
-        return any(
-            module == pkg or module.startswith(pkg + ".") for pkg in self.sim_domains
-        )
+        return _within(module, self.sim_domains)
 
     def in_api_package(self, module: str) -> bool:
         """True when ``module`` is part of the documented public API."""
-        return any(
-            module == pkg or module.startswith(pkg + ".") for pkg in self.api_packages
-        )
+        return _within(module, self.api_packages)
 
     def is_clock_injection_point(self, module: str) -> bool:
         """True for modules allowed to read the host wall clock."""
-        return any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in self.clock_injection_modules
-        )
+        return _within(module, self.clock_injection_modules)
 
     def is_rng_helper(self, module: str) -> bool:
         """True for the sanctioned raw-RNG module."""
@@ -205,31 +227,19 @@ class LintConfig:
 
     def in_bench_suite(self, module: str) -> bool:
         """True when ``module`` is an ``@bench`` suite module."""
-        return any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in self.bench_suite_packages
-        )
+        return _within(module, self.bench_suite_packages)
 
     def in_hot_path(self, module: str) -> bool:
         """True when ``module`` must keep its window scans batched."""
-        return any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in self.hot_path_packages
-        )
+        return _within(module, self.hot_path_packages)
 
     def is_span_exempt(self, module: str) -> bool:
         """True for modules implementing the span machinery."""
-        return any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in self.span_exempt_modules
-        )
+        return _within(module, self.span_exempt_modules)
 
     def in_fork_package(self, module: str) -> bool:
         """True when ``module`` runs under the fork-based worker pool."""
-        return any(
-            module == pkg or module.startswith(pkg + ".")
-            for pkg in self.fork_packages
-        )
+        return _within(module, self.fork_packages)
 
     def is_fork_worker_module(self, module: str) -> bool:
         """True when ``module``'s functions execute inside forked children."""

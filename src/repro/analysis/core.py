@@ -32,7 +32,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from repro.analysis.config import DEFAULT_CONFIG, LintConfig
 from repro.analysis.project import ParsedModule, ProjectContext, parse_module
@@ -195,16 +195,22 @@ class Rule:
 
 
 _REGISTRY: dict[str, Rule] = {}
+_R = TypeVar("_R", type[Rule], Rule)
 
 
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding one instance of ``cls`` to the registry."""
-    if not cls.id:
-        raise ConfigurationError(f"rule {cls.__name__} has no id")
-    if cls.id in _REGISTRY:
-        raise ConfigurationError(f"duplicate rule id {cls.id!r}")
-    _REGISTRY[cls.id] = cls()
-    return cls
+def register(rule: _R) -> _R:
+    """Add one rule to the registry.
+
+    Used as a class decorator (one instance of the class) or called with
+    an instance (table-driven rules register one instance per row).
+    """
+    instance = rule() if isinstance(rule, type) else rule
+    if not instance.id:
+        raise ConfigurationError(f"rule {type(instance).__name__} has no id")
+    if instance.id in _REGISTRY:
+        raise ConfigurationError(f"duplicate rule id {instance.id!r}")
+    _REGISTRY[instance.id] = instance
+    return rule
 
 
 def all_rules() -> list[Rule]:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from repro import ratchet
 from repro.errors import FleetError
 from repro.fleet.events import FLEET_EVENT_KINDS
 from repro.fleet.outcome import (
@@ -34,6 +35,15 @@ FLEET_SCHEMA = "repro.fleet/rollup"
 # v2: the required "quality" section (merged per-condition detection
 # quality from scored drives; scored_drives == 0 for unscored fleets).
 FLEET_SCHEMA_VERSION = 2
+
+_SCHEMA = ratchet.Schema(
+    name=FLEET_SCHEMA,
+    version=FLEET_SCHEMA_VERSION,
+    table="fleet",
+    label="fleet rollup",
+    error=FleetError,
+    create_hint="repro fleet run --out FLEET_<label>.json",
+)
 
 #: Top-level rollup keys whose values depend on wall clocks or scheduling
 #: (stripped by :func:`deterministic_view`, together with ``config`` and
@@ -223,20 +233,10 @@ def deterministic_view(rollup: Mapping) -> dict:
 
 def validate_rollup(rollup: Mapping) -> None:
     """Reject structurally broken rollups (schema gate for readers)."""
-    if not isinstance(rollup, Mapping):
-        raise FleetError(f"rollup must be a mapping, got {type(rollup).__name__}")
+    ratchet.check_snapshot(rollup, _SCHEMA, origin="rollup")
     missing = [key for key in REQUIRED_ROLLUP_KEYS if key not in rollup]
     if missing:
         raise FleetError(f"rollup is missing required keys: {missing}")
-    if rollup["schema"] != FLEET_SCHEMA:
-        raise FleetError(
-            f"unknown rollup schema {rollup['schema']!r} (want {FLEET_SCHEMA!r})"
-        )
-    if rollup["schema_version"] != FLEET_SCHEMA_VERSION:
-        raise FleetError(
-            f"unsupported rollup schema version {rollup['schema_version']!r} "
-            f"(this reader understands {FLEET_SCHEMA_VERSION})"
-        )
     for status in rollup["fleet"].get("by_status", {}):
         if status not in OUTCOME_STATUSES:
             raise FleetError(f"rollup carries unknown outcome status {status!r}")
@@ -250,10 +250,7 @@ def validate_rollup(rollup: Mapping) -> None:
 def write_rollup(rollup: Mapping, path: "str | Path") -> Path:
     """Validate and write one ``FLEET_*.json`` artefact."""
     validate_rollup(rollup)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(rollup, indent=2, sort_keys=True) + "\n")
-    return path
+    return ratchet.write_snapshot(path, rollup)
 
 
 def load_rollup(path: "str | Path") -> dict:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Mapping
 
+from repro import ratchet
 from repro.errors import FleetError
 from repro.fleet.events import check_fleet_event_kind
 from repro.fleet.outcome import OUTCOME_STATUSES, DriveOutcome
@@ -33,6 +34,15 @@ from repro.telemetry.metrics import merge_snapshots
 
 STATUS_SCHEMA = "repro.fleet/status"
 STATUS_SCHEMA_VERSION = 1
+
+_SCHEMA = ratchet.Schema(
+    name=STATUS_SCHEMA,
+    version=STATUS_SCHEMA_VERSION,
+    table="drives",
+    label="fleet status snapshot",
+    error=FleetError,
+    create_hint="repro fleet run --status-out PATH",
+)
 
 #: Run phases a status snapshot can report.
 STATUS_PHASES = ("running", "done")
@@ -382,15 +392,7 @@ def _gauge(name: str, value: Any, **labels: str) -> dict:
 
 def validate_status(snapshot: Mapping[str, Any]) -> None:
     """Reject snapshots that do not carry the declared schema envelope."""
-    if snapshot.get("schema") != STATUS_SCHEMA:
-        raise FleetError(
-            f"not a fleet status snapshot: schema={snapshot.get('schema')!r}"
-        )
-    if snapshot.get("schema_version") != STATUS_SCHEMA_VERSION:
-        raise FleetError(
-            f"unsupported fleet status schema_version "
-            f"{snapshot.get('schema_version')!r} (want {STATUS_SCHEMA_VERSION})"
-        )
+    ratchet.check_snapshot(snapshot, _SCHEMA, origin="fleet status")
     if snapshot.get("phase") not in STATUS_PHASES:
         raise FleetError(f"unknown status phase {snapshot.get('phase')!r}")
 

@@ -1,6 +1,5 @@
 """Machine-learning substrate: linear SVM (LibLINEAR-style), RBM, DBN."""
 
-from repro.ml.data import balance_classes, shuffle_together, train_test_split
 from repro.ml.dbn import PAPER_DBN_CLASSES, PAPER_DBN_LAYERS, DbnConfig, DeepBeliefNetwork
 from repro.ml.kernels import affine_matrix, affine_rows, ensure_rows, square_norm_rows
 from repro.ml.linear import LinearModel, require_trained, validate_training_set
@@ -26,7 +25,6 @@ __all__ = [
     "SvmConfig",
     "affine_matrix",
     "affine_rows",
-    "balance_classes",
     "ensure_rows",
     "square_norm_rows",
     "load_dbn",
@@ -35,10 +33,8 @@ __all__ = [
     "require_trained",
     "save_dbn",
     "save_linear_model",
-    "shuffle_together",
     "sigmoid",
     "softmax",
     "train_svm",
-    "train_test_split",
     "validate_training_set",
 ]

@@ -11,21 +11,9 @@ See PERF.md at the repository root.  Three parts on top of
   adaptive repeats, outlier rejection, and median/MAD/CV reporting;
 * :mod:`repro.perf.baseline` — schema-versioned ``BENCH_*.json``
   snapshots and the ``--compare`` regression gate behind
-  ``python -m repro bench``.
+  ``python -m repro bench``, judged by the shared :mod:`repro.ratchet`.
 """
 
-from repro.perf.baseline import (
-    SCHEMA_NAME,
-    SCHEMA_VERSION,
-    CompareEntry,
-    CompareReport,
-    build_snapshot,
-    compare,
-    load_snapshot,
-    machine_meta,
-    results_from_snapshot,
-    write_snapshot,
-)
 from repro.perf.profile import (
     SpanProfile,
     SpanRollup,
@@ -65,23 +53,15 @@ __all__ = [
     "BenchContext",
     "BenchResult",
     "BenchSpec",
-    "CompareEntry",
-    "CompareReport",
     "RunnerConfig",
-    "SCHEMA_NAME",
-    "SCHEMA_VERSION",
     "SMOKE_CONFIG",
     "SampleStats",
     "SpanProfile",
     "SpanRollup",
     "all_benches",
     "bench",
-    "build_snapshot",
-    "compare",
     "get_bench",
-    "load_snapshot",
     "load_suites",
-    "machine_meta",
     "mad",
     "median",
     "percentile",
@@ -90,12 +70,10 @@ __all__ = [
     "profile_tracer",
     "reject_outliers",
     "relative_change",
-    "results_from_snapshot",
     "robust_cv",
     "run_all",
     "run_bench",
     "significant_slowdown",
     "smoke_config",
     "summarize",
-    "write_snapshot",
 ]

@@ -1,25 +1,23 @@
-"""The baseline store: schema-versioned BENCH snapshots + the compare gate.
+"""The bench gate: ``BENCH_*.json`` snapshots judged by the shared ratchet.
 
 A snapshot is one JSON document (``BENCH_<label>.json``) holding machine
 metadata, the runner policy, per-benchmark robust stats (with raw samples,
 so future comparisons can re-derive anything), and the span rollups of the
-macro drive.  ``compare`` judges a current run against a stored baseline:
-per benchmark, a slowdown is a *regression* only when it is statistically
-significant under :func:`repro.perf.stats.significant_slowdown` and
-exceeds the configured relative threshold.  The reporters mirror the
-``repro lint`` pattern: a one-line-per-finding text report and a stable
-JSON document.
+macro drive.  Writing, loading, the compare loop and the reports are
+:mod:`repro.ratchet`'s; what is the bench's own is the judge: a slowdown
+is a *regression* only when it is statistically significant under
+:func:`repro.perf.stats.significant_slowdown` and exceeds the configured
+relative threshold.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
+from repro import ratchet
 from repro.errors import ConfigurationError
 from repro.perf.runner import BenchResult, RunnerConfig
 from repro.perf.stats import relative_change, significant_slowdown
@@ -27,8 +25,14 @@ from repro.perf.stats import relative_change, significant_slowdown
 SCHEMA_NAME = "repro-bench"
 SCHEMA_VERSION = 1
 
-#: Compare verdicts, in severity order.
-STATUSES = ("regressed", "missing", "new", "improved", "unchanged")
+SCHEMA = ratchet.Schema(
+    name=SCHEMA_NAME,
+    version=SCHEMA_VERSION,
+    table="benchmarks",
+    label="bench baseline",
+    error=ConfigurationError,
+    create_hint="repro bench --out BENCH_<label>.json",
+)
 
 
 def machine_meta() -> dict[str, Any]:
@@ -80,134 +84,39 @@ def build_snapshot(
     return doc
 
 
-def write_snapshot(path: str, doc: dict) -> None:
-    """Write one snapshot document (stable key order, human-diffable)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_snapshot(path: str) -> dict:
-    """Load and schema-check a snapshot written by :func:`write_snapshot`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read baseline {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"baseline {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_NAME:
-        raise ConfigurationError(
-            f"baseline {path!r} is not a {SCHEMA_NAME} snapshot"
-        )
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"baseline {path!r} has schema_version {version!r}; "
-            f"this build reads version {SCHEMA_VERSION}"
-        )
-    if not isinstance(doc.get("benchmarks"), dict):
-        raise ConfigurationError(f"baseline {path!r} has no benchmarks table")
+    """Load a snapshot, checking its schema and every benchmark entry."""
+    doc = ratchet.load_snapshot(path, SCHEMA)
+    results_from_snapshot(doc, origin=repr(str(path)))
     return doc
 
 
-def results_from_snapshot(doc: dict) -> dict[str, BenchResult]:
+def results_from_snapshot(doc: dict, origin: str = "baseline") -> dict[str, BenchResult]:
     """Rehydrate the per-benchmark results of a loaded snapshot."""
+    results = {}
+    for name, entry in doc["benchmarks"].items():
+        try:
+            results[name] = BenchResult.from_dict(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{origin} benchmark {name!r} is malformed: {exc!r}"
+            ) from exc
+    return results
+
+
+def _fields(entry: ratchet.Entry) -> dict:
+    base, cur = entry.baseline, entry.current
+    both = base is not None and cur is not None
     return {
-        name: BenchResult.from_dict(entry)
-        for name, entry in doc["benchmarks"].items()
+        "rel_change": relative_change(base.stats, cur.stats) if both else 0.0,
+        "baseline_median_ms": base.stats.median if base is not None else None,
+        "current_median_ms": cur.stats.median if cur is not None else None,
     }
 
 
-@dataclass
-class CompareEntry:
-    """One benchmark's verdict against the baseline."""
-
-    name: str
-    status: str
-    rel_change: float = 0.0
-    baseline_median_ms: float | None = None
-    current_median_ms: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "rel_change": self.rel_change,
-            "baseline_median_ms": self.baseline_median_ms,
-            "current_median_ms": self.current_median_ms,
-        }
-
-    def render(self) -> str:
-        def fmt(value: float | None) -> str:
-            return f"{value:.3f}" if value is not None else "-"
-
-        return (
-            f"{self.name}: {self.status} "
-            f"({fmt(self.baseline_median_ms)} -> {fmt(self.current_median_ms)} ms, "
-            f"{self.rel_change:+.1%})"
-        )
-
-
-@dataclass
-class CompareReport:
-    """The verdict of one current run against one baseline snapshot."""
-
-    baseline_label: str
-    current_label: str
-    threshold_rel: float
-    entries: list[CompareEntry] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[CompareEntry]:
-        return [e for e in self.entries if e.status == "regressed"]
-
-    @property
-    def has_regressions(self) -> bool:
-        return bool(self.regressions)
-
-    def counts(self) -> dict[str, int]:
-        table = {status: 0 for status in STATUSES}
-        for entry in self.entries:
-            table[entry.status] += 1
-        return table
-
-    def render_text(self) -> str:
-        lines = [
-            f"bench compare: {self.current_label!r} vs baseline "
-            f"{self.baseline_label!r} (threshold {self.threshold_rel:.0%})"
-        ]
-        order = {status: i for i, status in enumerate(STATUSES)}
-        for entry in sorted(
-            self.entries, key=lambda e: (order[e.status], e.name)
-        ):
-            if entry.status == "unchanged":
-                continue
-            lines.append(f"  {entry.render()}")
-        counts = self.counts()
-        lines.append(
-            "bench compare: "
-            + ", ".join(f"{counts[s]} {s}" for s in STATUSES)
-            + f" across {len(self.entries)} benchmarks"
-        )
-        if self.has_regressions:
-            lines.append("bench compare: FAILED (significant slowdowns found)")
-        return "\n".join(lines)
-
-    def render_json(self) -> str:
-        return json.dumps(
-            {
-                "tool": "repro-bench-compare",
-                "baseline": self.baseline_label,
-                "current": self.current_label,
-                "threshold_rel": self.threshold_rel,
-                "counts": self.counts(),
-                "has_regressions": self.has_regressions,
-                "entries": [e.to_dict() for e in self.entries],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+def _detail(fields: dict) -> str:
+    base, cur = (ratchet.fmt(fields[f"{side}_median_ms"]) for side in ("baseline", "current"))
+    return f"{base} -> {cur} ms, {fields['rel_change']:+.1%}"
 
 
 def compare(
@@ -215,60 +124,42 @@ def compare(
     current_results: list[BenchResult],
     threshold_rel: float = 0.10,
     current_label: str = "current",
-) -> CompareReport:
+) -> ratchet.Report:
     """Judge ``current_results`` against a loaded baseline snapshot.
 
     A benchmark present in both is *regressed* when the slowdown is both
     beyond ``threshold_rel`` and outside the joint noise floor; the
     symmetric condition marks *improved*; anything else is *unchanged*.
-    Benchmarks only in the baseline are *missing* (a deleted benchmark is
-    worth noticing, not worth failing); only in the current run, *new*.
     """
     if threshold_rel < 0:
         raise ConfigurationError(f"threshold must be >= 0, got {threshold_rel}")
-    baseline = results_from_snapshot(baseline_doc)
-    report = CompareReport(
-        baseline_label=str(baseline_doc.get("label", "?")),
-        current_label=current_label,
-        threshold_rel=threshold_rel,
-    )
-    current_by_name = {r.name: r for r in current_results}
-    for name in sorted(set(baseline) | set(current_by_name)):
-        base = baseline.get(name)
-        cur = current_by_name.get(name)
-        if base is None:
-            assert cur is not None
-            report.entries.append(
-                CompareEntry(
-                    name=name,
-                    status="new",
-                    current_median_ms=cur.stats.median,
-                )
-            )
-            continue
-        if cur is None:
-            report.entries.append(
-                CompareEntry(
-                    name=name,
-                    status="missing",
-                    baseline_median_ms=base.stats.median,
-                )
-            )
-            continue
-        rel = relative_change(base.stats, cur.stats)
+
+    def judge(base: BenchResult, cur: BenchResult) -> str:
         if significant_slowdown(base.stats, cur.stats, threshold_rel):
-            status = "regressed"
-        elif significant_slowdown(cur.stats, base.stats, threshold_rel):
-            status = "improved"
-        else:
-            status = "unchanged"
-        report.entries.append(
-            CompareEntry(
-                name=name,
-                status=status,
-                rel_change=rel,
-                baseline_median_ms=base.stats.median,
-                current_median_ms=cur.stats.median,
-            )
-        )
-    return report
+            return "worse"
+        if significant_slowdown(cur.stats, base.stats, threshold_rel):
+            return "better"
+        return "same"
+
+    baseline_label = str(baseline_doc.get("label", "?"))
+    return ratchet.Report(
+        ratchet.compare(
+            results_from_snapshot(baseline_doc),
+            {r.name: r for r in current_results},
+            judge,
+        ),
+        tool="bench compare",
+        title=(
+            f"{current_label!r} vs baseline {baseline_label!r} "
+            f"(threshold {threshold_rel:.0%})"
+        ),
+        unit="benchmarks",
+        failure="significant slowdowns found",
+        meta={
+            "baseline": baseline_label,
+            "current": current_label,
+            "threshold_rel": threshold_rel,
+        },
+        fields_of=_fields,
+        detail_of=_detail,
+    )

@@ -19,9 +19,10 @@ import sys
 import time
 
 from repro.errors import ConfigurationError
-from repro.perf.baseline import build_snapshot, compare, load_snapshot, write_snapshot
+from repro.perf.baseline import build_snapshot, compare, load_snapshot
 from repro.perf.registry import all_benches
 from repro.perf.runner import RunnerConfig, run_all, smoke_config
+from repro.ratchet import write_snapshot
 
 
 def _render_results(results) -> str:

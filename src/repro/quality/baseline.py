@@ -9,11 +9,12 @@ the suite on any machine reproduces the committed numbers exactly, which
 is what makes an *absolute* noise floor meaningful (unlike the bench
 gate, nothing here measures a wall clock).
 
-``compare`` judges a fresh suite run against a stored baseline: a drive
-whose recall or precision drops more than ``noise_floor`` below the
-committed value is a *regression* (exit 1 from the CLI); a rise beyond
-the floor is an *improvement*, and the gate ratchets by re-writing the
-baseline — mirroring ``repro bench --compare`` and the lint baseline.
+``compare`` judges a fresh suite run against a stored baseline through
+the shared :mod:`repro.ratchet`: a drive whose recall or precision drops
+more than ``noise_floor`` below the committed value is a *regression*
+(exit 1 from the CLI); a rise beyond the floor is an *improvement*, and
+the gate ratchets by re-writing the baseline.  A drive on one side only
+is *missing* or *new*: reported, not failing.
 
 The one wall-valued field (``suite_wall_s``, how long the suite took to
 score) is segregated under :data:`WALL_QUALITY_KEYS`, which the
@@ -23,11 +24,10 @@ the fleet's ``WALL_*`` sets.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from repro import ratchet
 from repro.core.spec import DriveSpec
 from repro.errors import QualityError
 from repro.quality.observer import ModelQualityObserver, QualityModelConfig
@@ -37,6 +37,15 @@ from repro.rng import derive_seed
 QUALITY_SCHEMA = "repro.quality/baseline"
 QUALITY_SCHEMA_VERSION = 1
 
+SCHEMA = ratchet.Schema(
+    name=QUALITY_SCHEMA,
+    version=QUALITY_SCHEMA_VERSION,
+    table="drives",
+    label="quality baseline",
+    error=QualityError,
+    create_hint="repro quality report --out QUALITY_BASELINE.json",
+)
+
 #: Snapshot keys carrying wall-clock values (stripped from every
 #: byte-compared artefact; laundering keys for the determinism-taint rule).
 WALL_QUALITY_KEYS = frozenset({"suite_wall_s"})
@@ -45,9 +54,6 @@ WALL_QUALITY_KEYS = frozenset({"suite_wall_s"})
 #: The suite is fully deterministic, so the floor only absorbs *intended*
 #: model-tuning noise (a re-tuned jitter constant), not measurement noise.
 DEFAULT_NOISE_FLOOR = 0.02
-
-#: Compare verdicts, in severity order (mirrors the bench gate).
-STATUSES = ("regressed", "missing", "new", "improved", "unchanged")
 
 #: The canonical suite: (short name, trace, fault scenario).  Every
 #: lighting regime is crossed, and both fault rows stress the quality
@@ -125,139 +131,22 @@ def build_snapshot(
 def write_snapshot(path: "str | Path", doc: dict) -> Path:
     """Validate and write one snapshot (stable key order, human-diffable)."""
     validate_snapshot(doc)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return ratchet.write_snapshot(path, doc)
 
 
 def load_snapshot(path: "str | Path") -> dict:
     """Load and schema-check a snapshot written by :func:`write_snapshot`."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise QualityError(f"cannot read quality baseline {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise QualityError(
-            f"quality baseline {path!r} is not valid JSON: {exc}"
-        ) from exc
-    validate_snapshot(doc, origin=str(path))
+    doc = ratchet.load_snapshot(path, SCHEMA)
+    validate_snapshot(doc, origin=repr(str(path)))
     return doc
 
 
 def validate_snapshot(doc: Mapping, origin: str = "snapshot") -> None:
     """Reject structurally broken snapshots (schema gate for readers)."""
-    if not isinstance(doc, Mapping) or doc.get("schema") != QUALITY_SCHEMA:
-        raise QualityError(f"{origin} is not a {QUALITY_SCHEMA} snapshot")
-    version = doc.get("schema_version")
-    if version != QUALITY_SCHEMA_VERSION:
-        raise QualityError(
-            f"{origin} has schema_version {version!r}; "
-            f"this reader understands {QUALITY_SCHEMA_VERSION}"
-        )
-    if not isinstance(doc.get("drives"), Mapping):
-        raise QualityError(f"{origin} has no drives table")
+    ratchet.check_snapshot(doc, SCHEMA, origin=origin)
     for name, summary in doc["drives"].items():
         if not isinstance(summary, Mapping) or "overall" not in summary:
             raise QualityError(f"{origin} drive {name!r} carries no overall metrics")
-
-
-@dataclass
-class QualityCompareEntry:
-    """One drive's verdict against the baseline."""
-
-    name: str
-    status: str
-    baseline_recall: float | None = None
-    current_recall: float | None = None
-    baseline_precision: float | None = None
-    current_precision: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "baseline_recall": self.baseline_recall,
-            "current_recall": self.current_recall,
-            "baseline_precision": self.baseline_precision,
-            "current_precision": self.current_precision,
-        }
-
-    def render(self) -> str:
-        def fmt(value: float | None) -> str:
-            return f"{value:.3f}" if value is not None else "-"
-
-        return (
-            f"{self.name}: {self.status} "
-            f"(recall {fmt(self.baseline_recall)} -> {fmt(self.current_recall)}, "
-            f"precision {fmt(self.baseline_precision)} -> {fmt(self.current_precision)})"
-        )
-
-
-@dataclass
-class QualityCompareReport:
-    """The verdict of one suite run against one baseline snapshot."""
-
-    baseline_label: str
-    noise_floor: float
-    entries: list[QualityCompareEntry] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[QualityCompareEntry]:
-        return [e for e in self.entries if e.status == "regressed"]
-
-    @property
-    def has_regressions(self) -> bool:
-        return bool(self.regressions)
-
-    @property
-    def improvements(self) -> list[QualityCompareEntry]:
-        return [e for e in self.entries if e.status == "improved"]
-
-    def counts(self) -> dict[str, int]:
-        table = {status: 0 for status in STATUSES}
-        for entry in self.entries:
-            table[entry.status] += 1
-        return table
-
-    def render_text(self) -> str:
-        lines = [
-            f"quality compare: suite vs baseline {self.baseline_label!r} "
-            f"(noise floor {self.noise_floor:.3f})"
-        ]
-        order = {status: i for i, status in enumerate(STATUSES)}
-        for entry in sorted(self.entries, key=lambda e: (order[e.status], e.name)):
-            if entry.status == "unchanged":
-                continue
-            lines.append(f"  {entry.render()}")
-        counts = self.counts()
-        lines.append(
-            "quality compare: "
-            + ", ".join(f"{counts[s]} {s}" for s in STATUSES)
-            + f" across {len(self.entries)} drives"
-        )
-        if self.has_regressions:
-            lines.append("quality compare: FAILED (recall/precision regressed)")
-        elif self.improvements:
-            lines.append(
-                "quality compare: improved beyond the floor — ratchet with "
-                "`repro quality report --out QUALITY_BASELINE.json`"
-            )
-        return "\n".join(lines)
-
-    def render_json(self) -> str:
-        return json.dumps(
-            {
-                "tool": "repro-quality-compare",
-                "baseline": self.baseline_label,
-                "noise_floor": self.noise_floor,
-                "counts": self.counts(),
-                "has_regressions": self.has_regressions,
-                "entries": [e.to_dict() for e in self.entries],
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _overall(summary: Mapping) -> tuple[float, float]:
@@ -265,78 +154,66 @@ def _overall(summary: Mapping) -> tuple[float, float]:
     return float(overall.get("recall", 0.0)), float(overall.get("precision", 0.0))
 
 
+def _fields(entry: ratchet.Entry) -> dict:
+    fields: dict = {}
+    for side in ("baseline", "current"):
+        summary = getattr(entry, side)
+        recall, precision = _overall(summary) if summary is not None else (None, None)
+        fields[f"{side}_recall"] = recall
+        fields[f"{side}_precision"] = precision
+    return fields
+
+
+def _detail(fields: dict) -> str:
+    return ", ".join(
+        f"{metric} {ratchet.fmt(fields[f'baseline_{metric}'])} -> "
+        f"{ratchet.fmt(fields[f'current_{metric}'])}"
+        for metric in ("recall", "precision")
+    )
+
+
 def compare(
     baseline_doc: Mapping,
     current_drives: Mapping[str, Mapping],
     noise_floor: float = DEFAULT_NOISE_FLOOR,
-) -> QualityCompareReport:
+) -> ratchet.Report:
     """Judge a fresh suite run against a loaded baseline snapshot.
 
     A drive present in both regresses when recall *or* precision drops
     more than ``noise_floor`` below the baseline; the symmetric rise
-    marks it improved (the ratchet signal).  Baseline-only drives are
-    *missing*, current-only drives are *new* — worth noticing, not worth
-    failing, exactly like the bench gate.
+    marks it improved (the ratchet signal).
     """
     if noise_floor < 0:
         raise QualityError(f"noise_floor must be >= 0, got {noise_floor}")
     validate_snapshot(baseline_doc, origin="baseline")
-    baseline = dict(baseline_doc["drives"])
-    report = QualityCompareReport(
-        baseline_label=str(baseline_doc.get("label", "?")),
-        noise_floor=noise_floor,
-    )
-    for name in sorted(set(baseline) | set(current_drives)):
-        base = baseline.get(name)
-        cur = current_drives.get(name)
-        if base is None:
-            assert cur is not None
-            recall, precision = _overall(cur)
-            report.entries.append(
-                QualityCompareEntry(
-                    name=name,
-                    status="new",
-                    current_recall=recall,
-                    current_precision=precision,
-                )
-            )
-            continue
-        if cur is None:
-            recall, precision = _overall(base)
-            report.entries.append(
-                QualityCompareEntry(
-                    name=name,
-                    status="missing",
-                    baseline_recall=recall,
-                    baseline_precision=precision,
-                )
-            )
-            continue
+
+    def judge(base: Mapping, cur: Mapping) -> str:
         base_recall, base_precision = _overall(base)
         cur_recall, cur_precision = _overall(cur)
         if (
             cur_recall < base_recall - noise_floor
             or cur_precision < base_precision - noise_floor
         ):
-            status = "regressed"
-        elif (
+            return "worse"
+        if (
             cur_recall > base_recall + noise_floor
             or cur_precision > base_precision + noise_floor
         ):
-            status = "improved"
-        else:
-            status = "unchanged"
-        report.entries.append(
-            QualityCompareEntry(
-                name=name,
-                status=status,
-                baseline_recall=base_recall,
-                current_recall=cur_recall,
-                baseline_precision=base_precision,
-                current_precision=cur_precision,
-            )
-        )
-    return report
+            return "better"
+        return "same"
+
+    baseline_label = str(baseline_doc.get("label", "?"))
+    return ratchet.Report(
+        ratchet.compare(baseline_doc["drives"], current_drives, judge),
+        tool="quality compare",
+        title=f"suite vs baseline {baseline_label!r} (noise floor {noise_floor:.3f})",
+        unit="drives",
+        failure="recall/precision regressed",
+        ratchet_hint="repro quality report --out QUALITY_BASELINE.json",
+        meta={"baseline": baseline_label, "noise_floor": noise_floor},
+        fields_of=_fields,
+        detail_of=_detail,
+    )
 
 
 def render_report(drives: Mapping[str, Mapping], suite: Mapping | None = None) -> str:
@@ -364,8 +241,3 @@ def render_report(drives: Mapping[str, Mapping], suite: Mapping | None = None) -
             f"{summary.get('mismatched_frames', 0)} mismatched)"
         )
     return "\n".join(lines)
-
-
-def summaries_of(drives: Iterable[Mapping]) -> list[dict]:
-    """Convenience: plain-dict copies of an iterable of summaries."""
-    return [dict(d) for d in drives]

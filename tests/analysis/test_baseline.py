@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.analysis.baseline import (
-    BaselineComparison,
     baseline_key,
     collect_counts,
     compare_baseline,
@@ -17,6 +16,7 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.core import Violation
 from repro.errors import ConfigurationError
+from repro.ratchet import Report
 
 pytestmark = pytest.mark.analysis
 
@@ -48,26 +48,30 @@ class TestCompare:
         violations = [v(line=1), v(line=2)]
         baseline = collect_counts(violations)
         comparison = compare_baseline(violations, baseline)
-        assert comparison.ok
+        assert not comparison.has_regressions
         assert comparison.regressions == []
         assert comparison.improvements == []
 
     def test_new_finding_regresses(self):
         baseline = collect_counts([v(line=1)])
         comparison = compare_baseline([v(line=1), v(line=2)], baseline)
-        assert not comparison.ok
+        assert comparison.has_regressions
         key = baseline_key(v())
-        assert comparison.regressions == [(key, 2, 1)]
+        assert [(e.name, e.current, e.baseline) for e in comparison.regressions] == [
+            (key, 2, 1)
+        ]
 
     def test_new_file_regresses(self):
         comparison = compare_baseline([v(path="src/repro/new.py")], {})
-        assert not comparison.ok
+        assert comparison.has_regressions
 
     def test_fixed_finding_improves_but_passes(self):
         baseline = collect_counts([v(line=1), v(line=2)])
         comparison = compare_baseline([v(line=1)], baseline)
-        assert comparison.ok
-        assert comparison.improvements == [(baseline_key(v()), 2, 1)]
+        assert not comparison.has_regressions
+        assert [(e.name, e.baseline, e.current) for e in comparison.improvements] == [
+            (baseline_key(v()), 2, 1)
+        ]
 
     def test_render_lists_new_findings(self):
         comparison = compare_baseline([v()], {})
@@ -76,7 +80,7 @@ class TestCompare:
         assert "fork-queue-timeout" in text
 
     def test_render_clean(self):
-        text = render_comparison(BaselineComparison(), [])
+        text = render_comparison(Report([]), [])
         assert "ok" in text
 
 

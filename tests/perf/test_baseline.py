@@ -14,10 +14,10 @@ from repro.perf.baseline import (
     compare,
     load_snapshot,
     results_from_snapshot,
-    write_snapshot,
 )
 from repro.perf.runner import BenchResult, RunnerConfig
 from repro.perf.stats import SampleStats
+from repro.ratchet import write_snapshot
 
 pytestmark = pytest.mark.perf
 
@@ -84,7 +84,7 @@ class TestSnapshotValidation:
     def test_wrong_schema_name(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"schema": "something-else"}))
-        with pytest.raises(ConfigurationError, match="not a repro-bench"):
+        with pytest.raises(ConfigurationError, match="not a bench baseline"):
             load_snapshot(str(path))
 
     def test_wrong_schema_version(self, tmp_path):
@@ -121,7 +121,7 @@ class TestCompare:
         assert report.has_regressions
         entry = report.entries[0]
         assert entry.status == "regressed"
-        assert entry.rel_change == pytest.approx(0.5)
+        assert report.fields_of(entry)["rel_change"] == pytest.approx(0.5)
 
     def test_slowdown_within_noise_floor_passes(self):
         # 50% slower on paper, but the MADs are as large as the gap.

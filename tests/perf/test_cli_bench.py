@@ -7,8 +7,9 @@ import json
 import pytest
 
 from repro.cli import main as repro_main
-from repro.perf.baseline import load_snapshot, write_snapshot
+from repro.perf.baseline import load_snapshot
 from repro.perf.cli import main as bench_main
+from repro.ratchet import write_snapshot
 
 pytestmark = pytest.mark.perf
 
@@ -120,7 +121,7 @@ class TestRegressionGate:
             ["--smoke", "--filter", FILTER, "--compare", str(tmp_path / "nope.json")]
         )
         assert code == 2
-        assert "cannot read baseline" in capsys.readouterr().err
+        assert "no bench baseline at" in capsys.readouterr().err
 
     def test_json_report_format(self, baseline, capsys):
         code = bench_main(
