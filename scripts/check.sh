@@ -48,8 +48,11 @@ else
     echo "== bench compare: skipped (--fast)"
 fi
 
-echo "== pytest -m equivalence (batched vs reference byte-identity)"
-PYTHONPATH=src python -m pytest -x -q -m equivalence || status=1
+echo "== pytest -m equivalence (batched vs reference byte-identity; RuntimeWarnings are errors)"
+# A vectorised kernel that divides by zero or makes a NaN warns and can
+# still come out "byte-identical" to a reference that does the same; the
+# flag turns such warnings into failures.
+PYTHONPATH=src python -m pytest -x -q -m equivalence -W error::RuntimeWarning || status=1
 
 echo "== repro incident smoke (flight recorder: induce, bundle, replay)"
 PYTHONPATH=src python -m repro incident smoke --duration 20 --scenario flaky_dma >/dev/null || status=1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import FeatureError
-from repro.imaging.filters import central_gradient
+from repro.imaging.filters import central_gradient, half_difference
 from repro.imaging.image import ensure_gray
 
 
@@ -35,14 +35,32 @@ class GradientField:
         return self.magnitude.shape
 
 
+def fold_half_turn(angles: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Fold ``arctan2`` angles in [-pi, pi] into [0, pi), in place.
+
+    Compare-and-add instead of a float ``np.mod``, bitwise equal to
+    ``np.mod(angles, np.pi)`` over that range: negatives get ``+ pi`` (a
+    tiny negative whose sum rounds to pi stays pi), every other angle gets
+    ``+ 0.0`` (which turns ``-0.0`` into ``+0.0`` and changes nothing
+    else), and ``pi`` itself folds to ``+0.0``.  ``scratch``, an array of
+    the same shape, may lend its memory to the shift plane.
+    """
+    at_pi = angles == np.pi
+    angles += np.multiply(angles < 0.0, np.pi, out=scratch)
+    angles[at_pi] = 0.0
+    return angles
+
+
+def _unsigned_field(gx: np.ndarray, gy: np.ndarray) -> GradientField:
+    """Magnitude and folded orientation; consumes ``gx`` and ``gy`` as buffers."""
+    magnitude = np.hypot(gx, gy)
+    orientation = fold_half_turn(np.arctan2(gy, gx, out=gx), scratch=gy)
+    return GradientField(magnitude=magnitude, orientation=orientation)
+
+
 def gradient_field(image: np.ndarray) -> GradientField:
     """Compute the unsigned gradient field of a gray image."""
-    arr = ensure_gray(image)
-    gx, gy = central_gradient(arr)
-    magnitude = np.hypot(gx, gy)
-    orientation = np.arctan2(gy, gx)  # [-pi, pi]
-    orientation = np.mod(orientation, np.pi)  # unsigned: [0, pi)
-    return GradientField(magnitude=magnitude, orientation=orientation)
+    return _unsigned_field(*central_gradient(ensure_gray(image)))
 
 
 def gradient_field_batch(windows: np.ndarray) -> GradientField:
@@ -58,12 +76,7 @@ def gradient_field_batch(windows: np.ndarray) -> GradientField:
         raise FeatureError(f"windows must be (N, H, W), got shape {stack.shape}")
     if stack.shape[1] < 1 or stack.shape[2] < 1:
         raise FeatureError(f"windows must be non-empty, got shape {stack.shape}")
-    padded = np.pad(stack, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    gx = 0.5 * (padded[:, 1:-1, 2:] - padded[:, 1:-1, :-2])
-    gy = 0.5 * (padded[:, 2:, 1:-1] - padded[:, :-2, 1:-1])
-    magnitude = np.hypot(gx, gy)
-    orientation = np.mod(np.arctan2(gy, gx), np.pi)
-    return GradientField(magnitude=magnitude, orientation=orientation)
+    return _unsigned_field(half_difference(stack, axis=2), half_difference(stack, axis=1))
 
 
 def orientation_bins(field: GradientField, n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,10 +90,14 @@ def orientation_bins(field: GradientField, n_bins: int) -> tuple[np.ndarray, np.
         raise FeatureError(f"need at least 2 orientation bins, got {n_bins}")
     bin_width = np.pi / n_bins
     # Center of bin b is (b + 0.5) * bin_width.
-    position = field.orientation / bin_width - 0.5
-    bin_lo = np.floor(position).astype(int)
-    frac = position - bin_lo
-    bin_lo = np.mod(bin_lo, n_bins)
-    weight_hi = frac
-    weight_lo = 1.0 - frac
+    position = field.orientation / bin_width
+    position -= 0.5
+    floor = np.floor(position)
+    bin_lo = floor.astype(int)
+    # Orientations lie in [0, pi], so the only out-of-range bin is -1,
+    # which wraps to the last bin.
+    np.putmask(bin_lo, bin_lo < 0, n_bins - 1)
+    weight_hi = position
+    weight_hi -= floor
+    weight_lo = np.subtract(1.0, weight_hi, out=floor)
     return bin_lo, weight_lo, weight_hi

@@ -123,20 +123,42 @@ def cell_histograms_from_field(field: GradientField, cell_size: int, n_bins: int
         raise FeatureError(
             f"field shape {field.shape} not divisible by cell_size {cell_size}"
         )
-    bin_lo, w_lo, w_hi = orientation_bins(field, n_bins)
-    bin_hi = (bin_lo + 1) % n_bins
     rows, cols = height // cell_size, width // cell_size
-    hist = np.zeros((rows, cols, n_bins), dtype=np.float64)
-    mag = field.magnitude
-    cell_row = np.repeat(np.arange(rows), cell_size)
-    cell_col = np.repeat(np.arange(cols), cell_size)
-    flat_cell = (cell_row[:, None] * cols + cell_col[None, :]).ravel()
-    # Scatter-add magnitude into (cell, bin) pairs for both soft-assigned bins.
-    flat_hist = np.zeros(rows * cols * n_bins, dtype=np.float64)
-    np.add.at(flat_hist, flat_cell * n_bins + bin_lo.ravel(), (mag * w_lo).ravel())
-    np.add.at(flat_hist, flat_cell * n_bins + bin_hi.ravel(), (mag * w_hi).ravel())
-    hist[...] = flat_hist.reshape(rows, cols, n_bins)
-    return hist
+    slots = _cell_slot_terms(rows, cols, cell_size, n_bins)
+    return _scatter_bins(field, slots, rows * cols, n_bins).reshape(rows, cols, n_bins)
+
+
+def _cell_slot_terms(rows: int, cols: int, cell_size: int, n_bins: int) -> tuple:
+    """(row, col) terms whose broadcast sum is each pixel's ``cell * n_bins``."""
+    row = np.repeat(np.arange(rows) * (cols * n_bins), cell_size)
+    col = np.repeat(np.arange(cols) * n_bins, cell_size)
+    return row[:, None], col[None, :]
+
+
+def _scatter_bins(
+    field: GradientField, slot_terms: tuple, n_cells: int, n_bins: int
+) -> np.ndarray:
+    """Scatter-add soft-binned magnitudes into a flat (cell, bin) histogram.
+
+    Two sequential scatters, every lower bin then every upper bin, each in
+    pixel order: that fixes the per-slot accumulation order, and so the
+    float rounding, whatever the batch layout.  The ``slot_terms`` broadcast
+    against the field and sum to each pixel's ``cell_index * n_bins``.
+    """
+    bin_lo, w_lo, w_hi = orientation_bins(field, n_bins)
+    wraps = bin_lo == n_bins - 1
+    w_lo *= field.magnitude
+    w_hi *= field.magnitude
+    slot = bin_lo
+    for term in slot_terms:
+        slot += term
+    flat_hist = np.zeros(n_cells * n_bins, dtype=np.float64)
+    np.add.at(flat_hist, slot.ravel(), w_lo.ravel())
+    # Upper bin: the next one, with the last bin wrapping to bin 0.
+    slot += 1
+    slot -= wraps * n_bins
+    np.add.at(flat_hist, slot.ravel(), w_hi.ravel())
+    return flat_hist
 
 
 def cell_histograms_batch(windows: np.ndarray, cell_size: int, n_bins: int) -> np.ndarray:
@@ -163,18 +185,10 @@ def cell_histograms_batch(windows: np.ndarray, cell_size: int, n_bins: int) -> n
         )
     if n == 0:
         return np.zeros((0, height // cell_size, width // cell_size, n_bins))
-    field = gradient_field_batch(stack)
-    bin_lo, w_lo, w_hi = orientation_bins(field, n_bins)
-    bin_hi = (bin_lo + 1) % n_bins
     rows, cols = height // cell_size, width // cell_size
-    cell_row = np.repeat(np.arange(rows), cell_size)
-    cell_col = np.repeat(np.arange(cols), cell_size)
-    plane_cell = cell_row[:, None] * cols + cell_col[None, :]
-    flat_cell = (np.arange(n) * (rows * cols))[:, None, None] + plane_cell[None, :, :]
-    mag = field.magnitude
-    flat_hist = np.zeros(n * rows * cols * n_bins, dtype=np.float64)
-    np.add.at(flat_hist, (flat_cell * n_bins + bin_lo).ravel(), (mag * w_lo).ravel())
-    np.add.at(flat_hist, (flat_cell * n_bins + bin_hi).ravel(), (mag * w_hi).ravel())
+    window = (np.arange(n) * (rows * cols * n_bins))[:, None, None]
+    slots = (window, *_cell_slot_terms(rows, cols, cell_size, n_bins))
+    flat_hist = _scatter_bins(gradient_field_batch(stack), slots, n * rows * cols, n_bins)
     return flat_hist.reshape(n, rows, cols, n_bins)
 
 
@@ -446,15 +460,22 @@ class DenseHogLayout:
             )
         return view.ravel()
 
+    def window_boxes(self, origins: np.ndarray) -> np.ndarray:
+        """Pixel-space ``(x, y, w, h)`` rows of the windows at ``origins``.
+
+        ``origins`` is an ``(n, 2)`` int array of (block_row, block_col), as
+        :meth:`window_index_grid` returns.
+        """
+        stride_px = self.config.block_stride * self.config.cell_size
+        boxes = np.empty((origins.shape[0], 4), dtype=np.float64)
+        boxes[:, 0] = origins[:, 1] * stride_px
+        boxes[:, 1] = origins[:, 0] * stride_px
+        boxes[:, 2] = self.config.window[1]
+        boxes[:, 3] = self.config.window[0]
+        return boxes
+
     def window_rect(self, block_row: int, block_col: int):
         """Pixel-space rectangle of the window at a block origin."""
         from repro.imaging.geometry import Rect
 
-        cs = self.config.cell_size
-        stride_px = self.config.block_stride * cs
-        return Rect(
-            float(block_col * stride_px),
-            float(block_row * stride_px),
-            float(self.config.window[1]),
-            float(self.config.window[0]),
-        )
+        return Rect(*self.window_boxes(np.array([[block_row, block_col]]))[0].tolist())

@@ -55,7 +55,12 @@ def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
 def luminance(rgb: np.ndarray) -> np.ndarray:
     """BT.601 luma plane of an RGB image."""
     arr = ensure_rgb(rgb, "rgb")
-    return _KR * arr[..., 0] + _KG * arr[..., 1] + _KB * arr[..., 2]
+    # (KR*r + KG*g) + KB*b, accumulated in place through one scratch plane.
+    y = np.multiply(arr[..., 0], _KR)
+    term = np.multiply(arr[..., 1], _KG)
+    y += term
+    y += np.multiply(arr[..., 2], _KB, out=term)
+    return y
 
 
 def split_channels(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

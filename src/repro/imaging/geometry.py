@@ -4,6 +4,11 @@ Rectangles are the common currency between detectors, the dataset ground
 truth, and evaluation.  ``Rect`` uses the image convention: ``x`` grows to the
 right (columns), ``y`` grows downwards (rows), and the box spans the
 half-open pixel range ``[x, x + w) x [y, y + h)``.
+
+Detectors that produce hundreds of candidate boxes per frame keep them as
+an ``(n, 4)`` float64 array of ``(x, y, w, h)`` rows and suppress them with
+:func:`nms_boxes`; ``Rect`` objects are built only for the boxes that
+survive.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import GeometryError
 
@@ -147,42 +154,80 @@ class Rect:
 
 
 def iou_matrix(boxes_a: Sequence[Rect], boxes_b: Sequence[Rect]):
-    """Pairwise IoU between two box lists as a nested list.
+    """Pairwise IoU between two box lists as a nested list of ``Rect.iou``.
 
-    Kept dependency-free (plain lists) because callers typically hold a
-    handful of detections, not thousands.
+    Meant for the handful of boxes evaluation compares; suppression over a
+    frame's candidates runs on arrays in :func:`nms_boxes`.
     """
     return [[a.iou(b) for b in boxes_b] for a in boxes_a]
 
 
-def non_max_suppression(
-    boxes: Sequence[Rect],
-    scores: Sequence[float],
-    iou_threshold: float = 0.5,
-) -> list[int]:
-    """Greedy non-maximum suppression.
+def nms_boxes(xywh: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5) -> np.ndarray:
+    """Greedy non-maximum suppression over an ``(n, 4)`` array of boxes.
+
+    Boxes are visited in decreasing score order; equal scores keep their
+    input order (a stable sort, like ``sorted(..., reverse=True)``).  Each
+    kept box drops every remaining box that overlaps it by more than
+    ``iou_threshold``.  The overlaps use the float operations of
+    :meth:`Rect.iou` — ``x + w`` edges, ``area_a + area_b - inter``, and 0
+    for boxes that do not intersect — so the kept set is the one the
+    per-``Rect`` greedy loop keeps, bit for bit.
 
     Args:
-        boxes: Candidate boxes.
-        scores: One score per box; higher is better.
-        iou_threshold: Boxes overlapping a kept box by more than this are
-            suppressed.
+        xywh: ``(n, 4)`` float64 rows of ``(x, y, w, h)``.
+        scores: ``(n,)`` scores; higher is better.
+        iou_threshold: Suppression threshold in [0, 1].
 
     Returns:
         Indices of kept boxes, in decreasing score order.
     """
-    if len(boxes) != len(scores):
+    boxes = np.asarray(xywh, dtype=np.float64)
+    order_by = np.asarray(scores, dtype=np.float64)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise GeometryError(f"boxes must be (n, 4) xywh rows, got shape {boxes.shape}")
+    if order_by.shape != (boxes.shape[0],):
         raise GeometryError(
-            f"boxes and scores must align, got {len(boxes)} boxes and {len(scores)} scores"
+            f"boxes and scores must align, got {boxes.shape[0]} boxes and "
+            f"{order_by.size} scores"
         )
     if not 0.0 <= iou_threshold <= 1.0:
         raise GeometryError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    order = sorted(range(len(boxes)), key=lambda i: scores[i], reverse=True)
-    kept: list[int] = []
-    for idx in order:
-        if all(boxes[idx].iou(boxes[k]) <= iou_threshold for k in kept):
-            kept.append(idx)
-    return kept
+    x1, y1, w, h = boxes.T
+    if not (np.all(w > 0) and np.all(h > 0)):
+        raise GeometryError("boxes must have positive width and height")
+    x2 = x1 + w
+    y2 = y1 + h
+    area = w * h
+    order = np.argsort(-order_by, kind="stable")
+    kept = []
+    while order.size:
+        top, rest = order[0], order[1:]
+        kept.append(top)
+        # Clamping at 0 makes disjoint pairs score 0 / union = 0, the value
+        # Rect.iou returns for them, without dividing by a meaningless union.
+        iw = np.maximum(np.minimum(x2[top], x2[rest]) - np.maximum(x1[top], x1[rest]), 0.0)
+        ih = np.maximum(np.minimum(y2[top], y2[rest]) - np.maximum(y1[top], y1[rest]), 0.0)
+        inter = iw * ih
+        order = rest[inter / (area[top] + area[rest] - inter) <= iou_threshold]
+    return np.array(kept, dtype=np.intp)
+
+
+def non_max_suppression(
+    boxes: Sequence[Rect] | np.ndarray,
+    scores: Sequence[float] | np.ndarray,
+    iou_threshold: float = 0.5,
+) -> list[int]:
+    """Greedy non-maximum suppression of ``Rect`` lists or xywh arrays.
+
+    A thin wrapper over :func:`nms_boxes`: ``Rect`` sequences are turned
+    into an ``(n, 4)`` array first.
+
+    Returns:
+        Indices of kept boxes, in decreasing score order.
+    """
+    if not isinstance(boxes, np.ndarray):
+        boxes = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return nms_boxes(boxes, np.asarray(scores, dtype=np.float64), iou_threshold).tolist()
 
 
 def merge_overlapping(boxes: Iterable[Rect], iou_threshold: float = 0.3) -> list[Rect]:

@@ -76,10 +76,21 @@ def resize_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.nd
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (ys - y0)[:, np.newaxis]
-    wx = (xs - x0)[np.newaxis, :]
-    top = arr[np.ix_(y0, x0)] * (1 - wx) + arr[np.ix_(y0, x1)] * wx
-    bottom = arr[np.ix_(y1, x0)] * (1 - wx) + arr[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bottom * wy
+    wx = xs - x0
+    # Gather each distinct source row once, blend it across the output
+    # columns, then pick every output row's upper and lower blended rows.
+    rows, pick = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    source = arr.take(rows, axis=0)
+    across = source.take(x0, axis=1)
+    across *= 1 - wx
+    right = source.take(x1, axis=1)
+    right *= wx
+    across += right
+    top, bottom = across[pick[:out_height]], across[pick[out_height:]]
+    top *= 1 - wy
+    bottom *= wy
+    top += bottom
+    return top
 
 
 def resize_rgb_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Imaging hot paths: resize, morphology, integral images.
+"""Imaging hot paths: resize, morphology, integral images, NMS.
 
 The dark pipeline spends its pre-DBN time here (threshold -> decimate ->
-close), and every pyramid level of the day/dusk path goes through the
-bilinear resize; these are the kernels a future vectorisation PR targets.
+close), every pyramid level of the day/dusk path goes through the
+bilinear resize, and every day/dusk frame ends in one NMS over the
+candidate boxes of all its pyramid levels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.imaging.geometry import nms_boxes
 from repro.imaging.integral import integral_image
 from repro.imaging.morphology import closing, square_element
 from repro.imaging.resize import resize_bilinear
@@ -49,5 +51,25 @@ def integral_image_bench(ctx: BenchContext):
 
     def run():
         return integral_image(frame)
+
+    return run
+
+
+@bench("nms_ms", group="imaging", summary="greedy NMS of ~300 overlapping boxes, IoU 0.3")
+def nms_bench(ctx: BenchContext):
+    # About the candidate count of one 360x640 multiscale day/dusk frame:
+    # 64-px windows at four pyramid scales, on a 16-px grid, clustered
+    # around a few objects so that most boxes overlap a neighbour.
+    n = 100 if ctx.smoke else 300
+    centres = ctx.rng.uniform((0.0, 0.0), (576.0, 296.0), size=(8, 2))
+    origins = centres[ctx.rng.integers(0, 8, n)] + ctx.rng.integers(-3, 4, (n, 2)) * 16.0
+    sides = 64.0 * 1.25 ** ctx.rng.integers(0, 4, n)
+    boxes = np.column_stack([origins, sides, sides])
+    scores = ctx.rng.normal(size=n)
+    ctx.digest(boxes, scores)
+    ctx.note("kept", int(nms_boxes(boxes, scores, 0.3).size))
+
+    def run():
+        return nms_boxes(boxes, scores, 0.3)
 
     return run

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.datasets.samples import ClassificationDataset
-from repro.errors import PipelineError
 from repro.features.hog import HogConfig, HogDescriptor
 from repro.imaging.color import luminance
 from repro.imaging.geometry import non_max_suppression
@@ -21,7 +20,7 @@ from repro.imaging.image import ensure_rgb
 from repro.imaging.resize import resize_bilinear
 from repro.ml.linear import LinearModel, require_trained
 from repro.ml.svm import LinearSvm, SvmConfig
-from repro.pipelines.base import Detection, ScratchBuffers
+from repro.pipelines.base import Detection, ScratchBuffers, detections_at, hog_svm_scan
 from repro.telemetry.metrics import DETECTIONS_BUCKETS
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
@@ -39,8 +38,9 @@ class DayDuskConfig:
         window_stride_blocks: Dense-scan stride in block units.
         batched: Score every window of a frame with one gathered feature
             matrix and one kernel call (the hot path).  False keeps the
-            per-window reference scan the equivalence suite pins the
-            batched path against — byte-identical output, just slow.
+            per-window reference scan of :func:`hog_svm_scan` the
+            equivalence suite pins the batched path against — byte-identical
+            output, just slow.
     """
 
     hog: HogConfig = HogConfig(window=(64, 64))
@@ -125,82 +125,51 @@ class HogSvmVehicleDetector:
         """
         from repro.features.windows import pyramid
 
-        rgb = ensure_rgb(frame, "frame")
-        plane = luminance(rgb)
-        window = self.config.hog.window
-        all_rects, all_scores = [], []
+        plane = luminance(ensure_rgb(frame, "frame"))
+        # A pool per call: the first (largest) level sizes the feature
+        # matrix and the smaller levels reuse it.  Holding it between frames
+        # would keep ~10 MB per detector alive while the other condition's
+        # detector (or another pipeline) runs, and raise peak memory.
+        scratch = ScratchBuffers()
+        level_boxes, level_scores = [np.empty((0, 4))], [np.empty(0)]
         for factor, level in pyramid(
-            plane, window, scale_step=scale_step, max_levels=max_levels
+            plane, self.config.hog.window, scale_step=scale_step, max_levels=max_levels
         ):
-            rects, scores = self._scan_plane(level)
-            for rect, score in zip(rects, scores):
-                all_rects.append(rect.scaled(1.0 / factor))
-                all_scores.append(score)
-        keep = non_max_suppression(all_rects, all_scores, iou_threshold=self.config.nms_iou)
-        return [
-            Detection(rect=all_rects[i], score=all_scores[i], kind="vehicle") for i in keep
-        ]
+            boxes, scores = self._scan_plane(level, scratch)
+            level_boxes.append(boxes * (1.0 / factor))
+            level_scores.append(scores)
+        boxes, scores = np.concatenate(level_boxes), np.concatenate(level_scores)
+        keep = non_max_suppression(boxes, scores, iou_threshold=self.config.nms_iou)
+        return detections_at(boxes, scores, keep, "vehicle")
 
-    def _scan_plane(self, plane: np.ndarray) -> tuple[list, list[float]]:
-        """Dense scan of one luma plane; returns (rects, scores), no NMS."""
-        model = require_trained(self.model, self.name)
-        win_h, win_w = self.config.hog.window
-        if plane.shape[0] < win_h or plane.shape[1] < win_w:
-            raise PipelineError(
-                f"frame {plane.shape} smaller than detector window {(win_h, win_w)}"
-            )
-        blocks, layout = self.hog.extract_dense(plane)
-        if not self.config.batched:
-            return self._scan_plane_reference(blocks, layout, model)
-        stride = self.config.window_stride_blocks
-        grid = layout.window_index_grid(stride)
-        n = grid.shape[0]
-        if n == 0:
-            return [], []
-        feats = layout.window_feature_matrix(
-            blocks,
-            stride,
-            out=self._scratch.get("scan.features", (n, layout.config.feature_length)),
+    def _scan_plane(
+        self, plane: np.ndarray, scratch: ScratchBuffers
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Dense scan of one luma plane; returns (boxes, scores), no NMS."""
+        cfg = self.config
+        return hog_svm_scan(
+            self.hog,
+            require_trained(self.model, self.name),
+            plane,
+            threshold=cfg.decision_threshold,
+            stride=cfg.window_stride_blocks,
+            scratch=scratch,
+            batched=cfg.batched,
         )
-        scores = model.decision_batch(feats, out=self._scratch.get("scan.scores", (n,)))
-        rects, kept_scores = [], []
-        for i in np.flatnonzero(scores > self.config.decision_threshold):
-            rects.append(layout.window_rect(int(grid[i, 0]), int(grid[i, 1])))
-            kept_scores.append(float(scores[i]))
-        return rects, kept_scores
-
-    def _scan_plane_reference(self, blocks, layout, model) -> tuple[list, list[float]]:
-        """Per-window reference scan: slice, score, threshold, one at a time.
-
-        This is the ground truth the differential equivalence suite pins
-        ``_scan_plane`` against — both paths share the batch-size-invariant
-        scoring kernel, so outputs must match byte for byte.
-        """
-        rects, kept_scores = [], []
-        for r, c in layout.window_positions(self.config.window_stride_blocks):
-            feature = layout.window_feature(blocks, r, c)
-            score = float(model.decision_values(feature))
-            if score > self.config.decision_threshold:
-                rects.append(layout.window_rect(r, c))
-                kept_scores.append(score)
-        return rects, kept_scores
 
     def detect(self, frame: np.ndarray) -> list[Detection]:
         """Dense single-scale sliding-window detection with NMS."""
         telemetry = self.telemetry
         rgb = ensure_rgb(frame, "frame")
         with telemetry.stage("day_dusk.hog_scan"):
-            rects, scores = self._scan_plane(luminance(rgb))
+            boxes, scores = self._scan_plane(luminance(rgb), self._scratch)
         with telemetry.stage("day_dusk.nms"):
-            keep = non_max_suppression(rects, scores, iou_threshold=self.config.nms_iou)
+            keep = non_max_suppression(boxes, scores, iou_threshold=self.config.nms_iou)
         if telemetry.enabled:
             telemetry.histogram(
                 "detections_per_frame", bounds=DETECTIONS_BUCKETS, detector=self.name
             ).observe(float(len(keep)))
-        return [
-            Detection(rect=rects[i], score=scores[i], kind="vehicle")
-            for i in keep
-        ]
+        return detections_at(boxes, scores, keep, "vehicle")
 
 
 def train_condition_models(

@@ -25,7 +25,7 @@ from repro.imaging.image import ensure_rgb
 from repro.imaging.resize import resize_bilinear
 from repro.ml.linear import LinearModel, require_trained
 from repro.ml.svm import LinearSvm, SvmConfig
-from repro.pipelines.base import Detection, ScratchBuffers
+from repro.pipelines.base import Detection, ScratchBuffers, detections_at, hog_svm_scan
 from repro.rng import make_rng
 from repro.telemetry.metrics import DETECTIONS_BUCKETS
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
@@ -105,49 +105,21 @@ class PedestrianDetector:
         telemetry = self.telemetry
         model = require_trained(self.model, self.name)
         plane = luminance(ensure_rgb(frame, "frame"))
-        win_h, win_w = self.config.hog.window
-        if plane.shape[0] < win_h or plane.shape[1] < win_w:
-            raise PipelineError(
-                f"frame {plane.shape} smaller than detector window {(win_h, win_w)}"
-            )
+        cfg = self.config
         with telemetry.stage("pedestrian.hog_scan"):
-            rects, kept = self._scan_plane(plane, model)
+            boxes, scores = hog_svm_scan(
+                self.hog,
+                model,
+                plane,
+                threshold=cfg.decision_threshold,
+                stride=cfg.window_stride_blocks,
+                scratch=self._scratch,
+                batched=cfg.batched,
+            )
         with telemetry.stage("pedestrian.nms"):
-            keep = non_max_suppression(rects, kept, iou_threshold=self.config.nms_iou)
+            keep = non_max_suppression(boxes, scores, iou_threshold=cfg.nms_iou)
         if telemetry.enabled:
             telemetry.histogram(
                 "detections_per_frame", bounds=DETECTIONS_BUCKETS, detector=self.name
             ).observe(float(len(keep)))
-        return [Detection(rect=rects[i], score=kept[i], kind="pedestrian") for i in keep]
-
-    def _scan_plane(self, plane: np.ndarray, model: LinearModel) -> tuple[list, list[float]]:
-        """Dense scan of the luma plane; returns (rects, scores), no NMS."""
-        blocks, layout = self.hog.extract_dense(plane)
-        if not self.config.batched:
-            return self._scan_plane_reference(blocks, layout, model)
-        stride = self.config.window_stride_blocks
-        grid = layout.window_index_grid(stride)
-        n = grid.shape[0]
-        if n == 0:
-            return [], []
-        feats = layout.window_feature_matrix(
-            blocks,
-            stride,
-            out=self._scratch.get("scan.features", (n, layout.config.feature_length)),
-        )
-        scores = model.decision_batch(feats, out=self._scratch.get("scan.scores", (n,)))
-        rects, kept = [], []
-        for i in np.flatnonzero(scores > self.config.decision_threshold):
-            rects.append(layout.window_rect(int(grid[i, 0]), int(grid[i, 1])))
-            kept.append(float(scores[i]))
-        return rects, kept
-
-    def _scan_plane_reference(self, blocks, layout, model) -> tuple[list, list[float]]:
-        """Per-window reference scan pinned byte-identical to the hot path."""
-        rects, kept = [], []
-        for r, c in layout.window_positions(self.config.window_stride_blocks):
-            score = float(model.decision_values(layout.window_feature(blocks, r, c)))
-            if score > self.config.decision_threshold:
-                rects.append(layout.window_rect(r, c))
-                kept.append(score)
-        return rects, kept
+        return detections_at(boxes, scores, keep, "pedestrian")

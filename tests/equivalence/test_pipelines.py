@@ -19,6 +19,7 @@ from repro.datasets.lighting import LightingCondition, lighting_for_condition
 from repro.datasets.scene import SceneConfig, render_scene
 from repro.features.hog import HogConfig
 from repro.ml.linear import LinearModel
+from repro.pipelines.base import ScratchBuffers
 from repro.pipelines.dark import DarkConfig, DarkVehicleDetector
 from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
 from repro.pipelines.pedestrian import PedestrianConfig, PedestrianDetector
@@ -76,10 +77,11 @@ class TestDayDusk:
 
         batched, reference = detector_pair(condition_models["dusk"], threshold=-np.inf)
         plane = luminance(scene_frame(LightingCondition.DUSK, 3))
-        rects_b, scores_b = batched._scan_plane(plane)
-        rects_r, scores_r = reference._scan_plane(plane)
-        assert rects_b == rects_r
-        assert np.asarray(scores_b).tobytes() == np.asarray(scores_r).tobytes()
+        boxes_b, scores_b = batched._scan_plane(plane, ScratchBuffers())
+        boxes_r, scores_r = reference._scan_plane(plane, ScratchBuffers())
+        assert boxes_b.shape == boxes_r.shape
+        assert boxes_b.tobytes() == boxes_r.tobytes()
+        assert scores_b.tobytes() == scores_r.tobytes()
 
     @given(
         h=st.integers(min_value=64, max_value=120),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.imaging.geometry import Rect
-from repro.pipelines.base import Detection, DetectionPipeline
+from repro.pipelines.base import Detection, DetectionPipeline, ScratchBuffers
 from repro.pipelines.evaluation import (
     ConfusionCounts,
     confusion_from_predictions,
@@ -33,6 +33,68 @@ class TestDetection:
                 return False, 0.0
 
         assert isinstance(Dummy(), DetectionPipeline)
+
+
+class TestScratchBuffers:
+    def test_smaller_request_is_a_view_of_the_pooled_buffer(self):
+        pool = ScratchBuffers()
+        big = pool.get("k", (10, 4))
+        small = pool.get("k", (3, 4))
+        assert small.shape == (3, 4)
+        assert small.flags.c_contiguous
+        assert np.shares_memory(small, big)
+        assert pool.get("k", (10, 4)).base is big.base
+
+    def test_grows_only_when_the_request_does_not_fit(self):
+        pool = ScratchBuffers()
+        first = pool.get("k", (2, 3))
+        grown = pool.get("k", (5, 3))
+        assert not np.shares_memory(first, grown)
+        assert pool.get("k", (1, 7)).base is grown.base
+
+    def test_dtype_change_reallocates(self):
+        pool = ScratchBuffers()
+        floats = pool.get("k", (4,))
+        ints = pool.get("k", (4,), dtype=np.int64)
+        assert ints.dtype == np.int64
+        assert not np.shares_memory(floats, ints)
+
+    def test_keys_are_independent(self):
+        pool = ScratchBuffers()
+        assert not np.shares_memory(pool.get("a", (4,)), pool.get("b", (4,)))
+
+    def test_multiscale_scan_allocates_the_feature_matrix_once(
+        self, condition_models, monkeypatch
+    ):
+        # Every pyramid level asks for a different (n_windows, D) matrix;
+        # the first (largest) level sizes the pooled buffer and the smaller
+        # levels reuse it, so each call allocates it once.
+        import repro.pipelines.day_dusk as day_dusk
+
+        pools = []
+
+        class RecordingPool(ScratchBuffers):
+            def __init__(self):
+                super().__init__()
+                self.shapes, self.pooled = [], []
+                pools.append(self)
+
+            def get(self, key, shape, dtype=np.float64):
+                out = super().get(key, shape, dtype)
+                if key == "scan.features":
+                    self.shapes.append(tuple(shape))
+                    self.pooled.append(self._arrays[key])
+                return out
+
+        detector = day_dusk.HogSvmVehicleDetector(model=condition_models["day"])
+        monkeypatch.setattr(day_dusk, "ScratchBuffers", RecordingPool)
+        frame = np.random.default_rng(3).random((160, 240, 3))
+        first = detector.detect_multiscale(frame)
+        assert detector.detect_multiscale(frame) == first
+        assert len(pools) == 2
+        for pool in pools:
+            assert len(set(pool.shapes)) > 1
+            assert all(buffer is pool.pooled[0] for buffer in pool.pooled)
 
 
 class TestConfusionCounts:
