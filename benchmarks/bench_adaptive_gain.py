@@ -1,11 +1,12 @@
 """Extension bench — the adaptive thesis, end to end.
 
-The paper's core argument measured functionally: render frames across all
-three lighting conditions, run the adaptive detector and every fixed
-pipeline over the same frames, and show (a) every fixed pipeline fails in
-some condition, (b) the adaptive system beats them all overall, (c) its
-only dark-condition deficit vs the fixed dark pipeline is the one frame
-consumed by the partial reconfiguration.
+The paper's core argument measured functionally: drive the SoC model over
+a day -> dusk -> dark trace, render frames sampled along it, route each
+through the pipeline the drive's vehicle partition had loaded, run every
+fixed pipeline over the same frames, and show (a) every fixed pipeline
+fails in some condition, (b) the adaptive system beats them all overall,
+(c) it is never the worst in any condition.  The rendered report prints
+the drive's measured vehicle frames dropped per reconfiguration.
 """
 
 from __future__ import annotations

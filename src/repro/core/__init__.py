@@ -1,10 +1,5 @@
 """System core: the adaptive detection system (paper Fig. 6 + control loop)."""
 
-from repro.core.functional import (
-    AdaptiveVehicleDetector,
-    FrameResult,
-    FunctionalConfig,
-)
 from repro.core.spec import (
     CHAOS_MODES,
     TRACE_FACTORIES,
@@ -26,12 +21,9 @@ from repro.core.system import (
 
 __all__ = [
     "AdaptiveDetectionSystem",
-    "AdaptiveVehicleDetector",
     "CHAOS_MODES",
     "DegradationPolicy",
     "DriveSpec",
-    "FrameResult",
-    "FunctionalConfig",
     "DriveReport",
     "FrameRecord",
     "MODEL_FOR_CONDITION",

@@ -9,8 +9,9 @@ dusk, instantaneous) or trigger a partial reconfiguration (dusk <-> dark,
 frames while the pedestrian detector "continues its operation ... and
 guarantees the real-time and safe behavior of the system".
 
-Optionally, the drive also *renders* frames with the scene generator and
-runs the active software pipeline on them, closing the loop functionally.
+The drive models timing only; :meth:`DriveReport.vehicle_pipelines` names
+the image/SVM model that ran each vehicle frame, so a caller can route
+rendered pixels through the matching software pipeline.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.adaptive.controller import ConditionChange, ControllerConfig, LightingController
-from repro.adaptive.policy import CONFIG_FOR_CONDITION, SwitchKind, plan_switch
+from repro.adaptive.policy import (
+    CONFIG_FOR_CONDITION,
+    SwitchKind,
+    VehicleConfigurationId,
+    plan_switch,
+)
 from repro.adaptive.sensor import LightSensor, LuxTrace
 from repro.core.spec import DriveSpec
 from repro.datasets.lighting import LightingCondition
@@ -186,6 +192,41 @@ class DriveReport:
     def failed_reconfigurations(self) -> int:
         return sum(1 for r in self.reconfigurations if not r.ok)
 
+    def vehicle_pipelines(self) -> list[str | None]:
+        """Per frame: the pipeline the vehicle partition ran it through.
+
+        ``"dark"`` when the dark image was loaded, else the day-dusk image's
+        SVM model (``"day"`` or ``"dusk"``); ``None`` when the partition
+        skipped the frame (reconfiguring, flushed, or its ingress DMA
+        aborted).  The drive loop swaps models after submitting the frame
+        of the tick in which the sensor sample lands, so frame ``i`` sees
+        every swap sampled at or before frame ``i - 1``'s time.
+        """
+        if not self.frames:
+            return []
+        changes = self.condition_changes
+        # The condition the drive booted in, before any change landed.
+        boot = changes[0].previous if changes else self.frames[0].condition
+        model = _boot_model(boot)
+        swaps = iter(self.model_swaps)
+        swap = next(swaps, None)
+        routes: list[str | None] = []
+        previous_t = float("-inf")
+        for record in self.frames:
+            while swap is not None and swap[0] <= previous_t:
+                model = swap[1]
+                swap = next(swaps, None)
+            previous_t = record.time_s
+            if not record.vehicle_accepted or any(
+                label.startswith(_INGRESS_ABORT) for label in record.faults
+            ):
+                routes.append(None)
+            elif record.vehicle_configuration == VehicleConfigurationId.DARK.value:
+                routes.append("dark")
+            else:
+                routes.append(model)
+        return routes
+
     def summary(self, include_telemetry: bool = False) -> dict:
         """The drive in one dict.
 
@@ -223,6 +264,19 @@ MODEL_FOR_CONDITION = {
     LightingCondition.DUSK: "dusk",
 }
 
+# Audit label of an aborted vehicle-frame ingress transfer; the DMA fires
+# it while the frame is submitted, so it lands in that frame's record.
+_INGRESS_ABORT = f"fault:{FaultSite.DMA_ERROR.value}@dma-veh-mm2s"
+
+
+def _boot_model(condition: LightingCondition) -> str:
+    """The SVM model the day-dusk image holds when a drive starts.
+
+    A dark start leaves the dark image loaded; the model then waits for
+    the dark -> dusk reconfiguration, the only way out of dark.
+    """
+    return MODEL_FOR_CONDITION.get(condition, "dusk")
+
 
 class AdaptiveDetectionSystem:
     """The full Fig. 6 system with the adaptive switching loop."""
@@ -242,6 +296,7 @@ class AdaptiveDetectionSystem:
         self.monitor = monitor if monitor is not None else NULL_MONITOR
         self.quality = quality if quality is not None else NULL_QUALITY
         policy = self.config.degradation
+        initial = self.config.initial_condition
         self.soc = ZynqSoC(
             controller_cls=self.config.controller_cls,
             repository=repository or paper_bitstreams(),
@@ -249,9 +304,12 @@ class AdaptiveDetectionSystem:
             pr_timeout_s=policy.pr_timeout_s,
             telemetry=self.telemetry,
         )
-        self.controller = LightingController(
-            self.config.controller, initial=self.config.initial_condition
-        )
+        # Boot in the initial condition: its image already loaded (no
+        # reconfiguration counted) and its SVM model selected.
+        self.soc.vehicle.configuration = CONFIG_FOR_CONDITION[initial].value
+        self.soc.pr.active_configuration = self.soc.vehicle.configuration
+        self.soc.vehicle_model = _boot_model(initial)
+        self.controller = LightingController(self.config.controller, initial=initial)
         self.report = DriveReport()
         if self.telemetry.enabled:
             self.report.telemetry = self.telemetry

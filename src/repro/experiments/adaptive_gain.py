@@ -3,26 +3,25 @@
 The paper's argument for adaptivity is never printed as a single table, but
 it is the point of the whole system: *no fixed pipeline covers all lighting
 conditions, while the adaptive system tracks the best pipeline everywhere.*
-This experiment renders frames along a day → dusk → dark drive, runs
+This experiment drives the SoC model over a day → dusk → dark lux trace,
+renders frames sampled along it, runs
 
-* the adaptive detector (condition-routed, with reconfiguration blindness),
+* the adaptive system: each frame goes to the pipeline the drive's vehicle
+  partition had loaded for it, or gets no detections when the partition
+  skipped it (:meth:`DriveReport.vehicle_pipelines`),
 * each fixed pipeline (day model, dusk model, combined model, dark pipeline)
 
 over the same frames, and reports per-condition and overall object recall.
-
-A detail worth noticing in the result: the adaptive detector's dark recall
-trails the *fixed* dark pipeline by exactly one frame — the frame consumed
-by the dusk->dark partial reconfiguration.  Adaptivity's cost is visible
-and bounded, exactly as Section IV-B argues.
+The cost of adaptivity is the drive's measured vehicle frames dropped per
+partial reconfiguration; the rendered table prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.functional import AdaptiveVehicleDetector, FunctionalConfig
+from repro.adaptive.sensor import LuxTrace
+from repro.core.system import AdaptiveDetectionSystem
 from repro.datasets.lighting import LightingCondition, condition_for_lux, sample_lighting
 from repro.datasets.scene import SceneConfig, render_scene
 from repro.experiments.common import check_scale, corpora_and_models, detector_with, trained_dark_detector
@@ -31,6 +30,11 @@ from repro.imaging.geometry import Rect, match_detections
 from repro.pipelines.base import Detection
 from repro.pipelines.day_dusk import DayDuskConfig
 from repro.rng import make_rng
+
+# Drive frames between two rendered frames (3 s at the paper's 50 fps).
+FRAME_STRIDE = 150
+# Width of each log-linear lux step in the drive's trace.
+LUX_STEP_S = 0.1
 
 
 @dataclass
@@ -56,6 +60,8 @@ class PipelineScore:
 class AdaptiveGainResult:
     scores: list[PipelineScore]
     n_frames: int
+    #: Vehicle frames the drive dropped per partial reconfiguration.
+    drops_per_reconfiguration: float
 
     def _by_name(self, name: str) -> PipelineScore:
         return next(s for s in self.scores if s.name == name)
@@ -73,6 +79,9 @@ class AdaptiveGainResult:
             ["pipeline", "day recall", "dusk recall", "dark recall", "overall", "spurious"],
             rows,
             title=f"Adaptive vs fixed pipelines over a mixed drive ({self.n_frames} frames)",
+        ) + (
+            "\nadaptive cost: "
+            f"{self.drops_per_reconfiguration:g} vehicle frames dropped per reconfiguration"
         )
 
     def shape_checks(self) -> dict[str, bool]:
@@ -99,36 +108,43 @@ def run_adaptive_gain(
     seed: int = 0,
     scale: float = 0.3,
 ) -> AdaptiveGainResult:
-    """Render a mixed-condition frame stream and score all pipelines."""
+    """Drive a mixed-condition trace, render sampled frames, score all pipelines."""
     check_scale(scale)
     _, models = corpora_and_models(scale=scale, seed=seed)
     dark = trained_dark_detector()
     # Dense scanning wants a positive margin (crop classification uses 0).
     scan_config = DayDuskConfig(decision_threshold=1.0)
-    adaptive = AdaptiveVehicleDetector(
-        models,
-        dark,
-        config=FunctionalConfig(multiscale=True),
-        day_dusk_config=scan_config,
-    )
 
     rng = make_rng(seed + 101)
 
-    # Three decisive blocks (deep inside each regime) so the adaptive
-    # controller's hysteresis settles before the block's frames arrive —
-    # the drive's *transition* cost is measured separately (RL bench).
+    # Three decisive blocks (deep inside each regime), one rendered frame
+    # every FRAME_STRIDE drive frames, with each lux step halfway between
+    # two rendered frames so the controller settles before the block's
+    # frames arrive — the drive's *transition* cost is measured separately
+    # (RL bench).
     block_lux = {
         LightingCondition.DAY: 20_000.0,
         LightingCondition.DUSK: 60.0,
         LightingCondition.DARK: 0.8,
     }
+    conditions = (LightingCondition.DAY, LightingCondition.DUSK, LightingCondition.DARK)
+    system = AdaptiveDetectionSystem()
+    frame_s = 1.0 / system.config.fps
+    block_s = n_frames_per_condition * FRAME_STRIDE * frame_s
+    step_s = [k * block_s + FRAME_STRIDE * frame_s / 2 for k in range(len(conditions) + 1)]
+    knots: list[tuple[float, float]] = []
+    for k, condition in enumerate(conditions):
+        lux = block_lux[condition]
+        knots += [(step_s[k] if k else 0.0, lux), (step_s[k + 1] - LUX_STEP_S, lux)]
+    trace = LuxTrace(points=tuple(knots))
+    report = system.run_drive(trace)
+    routes = report.vehicle_pipelines()
+
     frames = []
-    t = 0.0
-    for condition in (LightingCondition.DAY, LightingCondition.DUSK, LightingCondition.DARK):
-        for _ in range(n_frames_per_condition):
-            t += 3.0
-            lux = block_lux[condition]
-            assert condition_for_lux(lux) is condition
+    for k, condition in enumerate(conditions):
+        for j in range(1, n_frames_per_condition + 1):
+            index = (k * n_frames_per_condition + j) * FRAME_STRIDE
+            assert condition_for_lux(trace.lux_at(report.frames[index].time_s)) is condition
             lighting = sample_lighting(condition, rng)
             config = SceneConfig(
                 height=180,
@@ -141,7 +157,7 @@ def run_adaptive_gain(
                 else (0.11, 0.17),
                 seed=int(rng.integers(0, 2**31)),
             )
-            frames.append((t, lux, condition, render_scene(config, lighting)))
+            frames.append((routes[index], condition, render_scene(config, lighting)))
 
     fixed_pipelines = {
         "fixed day model": detector_with(models["day"], scan_config),
@@ -169,14 +185,23 @@ def run_adaptive_gain(
         score.total[key] = score.total.get(key, 0) + len(truths)
         score.spurious += len(unmatched_d)
 
-    for t, lux, condition, frame in frames:
+    adaptive = {
+        "day": fixed_pipelines["fixed day model"].detect_multiscale,
+        "dusk": fixed_pipelines["fixed dusk model"].detect_multiscale,
+        "dark": dark.detect,
+    }
+    for route, condition, frame in frames:
         truths = frame.vehicle_boxes
-        result = adaptive.process(t, lux, frame.rgb)
-        tally("adaptive", condition, truths, result.detections)
+        detections = adaptive[route](frame.rgb) if route is not None else []
+        tally("adaptive", condition, truths, detections)
         for name, pipeline in fixed_pipelines.items():
             if name == "fixed dark pipeline":
                 detections = pipeline.detect(frame.rgb)
             else:
                 detections = pipeline.detect_multiscale(frame.rgb, max_levels=3)
             tally(name, condition, truths, detections)
-    return AdaptiveGainResult(scores=list(scores.values()), n_frames=len(frames))
+    return AdaptiveGainResult(
+        scores=list(scores.values()),
+        n_frames=len(frames),
+        drops_per_reconfiguration=report.drops_per_reconfiguration(),
+    )

@@ -1,4 +1,4 @@
-"""Color-space conversion: RGB <-> YCbCr (ITU-R BT.601).
+"""Color-space conversion: RGB -> YCbCr (ITU-R BT.601).
 
 The dark-condition pipeline of the paper thresholds both the *luminance*
 channel (light sources are bright) and the *chrominance* channels (taillights
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ImageError
-from repro.imaging.image import ensure_gray, ensure_rgb
+from repro.imaging.image import ensure_rgb
 
 # BT.601 luma coefficients.
 _KR = 0.299
@@ -36,20 +35,6 @@ def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     cb = (b - y) / (2.0 * (1.0 - _KB))
     cr = (r - y) / (2.0 * (1.0 - _KR))
     return np.stack([y, cb, cr], axis=-1)
-
-
-def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rgb_to_ycbcr`; output clipped to [0, 1]."""
-    arr = np.asarray(ycbcr, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ImageError(f"ycbcr image must have shape (H, W, 3), got {arr.shape}")
-    y = arr[..., 0]
-    cb = arr[..., 1]
-    cr = arr[..., 2]
-    r = y + 2.0 * (1.0 - _KR) * cr
-    b = y + 2.0 * (1.0 - _KB) * cb
-    g = (y - _KR * r - _KB * b) / _KG
-    return np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0)
 
 
 def luminance(rgb: np.ndarray) -> np.ndarray:
@@ -77,9 +62,3 @@ def redness(rgb: np.ndarray) -> np.ndarray:
     """Cr chroma plane; large positive values indicate red light sources."""
     _, _, cr = split_channels(rgb)
     return cr
-
-
-def gray_to_rgb(gray: np.ndarray) -> np.ndarray:
-    """Replicate a gray plane into three channels."""
-    arr = ensure_gray(gray, "gray")
-    return np.repeat(arr[..., np.newaxis], 3, axis=2)

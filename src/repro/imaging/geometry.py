@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,15 +153,6 @@ class Rect:
         return (x, y, w, h)
 
 
-def iou_matrix(boxes_a: Sequence[Rect], boxes_b: Sequence[Rect]):
-    """Pairwise IoU between two box lists as a nested list of ``Rect.iou``.
-
-    Meant for the handful of boxes evaluation compares; suppression over a
-    frame's candidates runs on arrays in :func:`nms_boxes`.
-    """
-    return [[a.iou(b) for b in boxes_b] for a in boxes_a]
-
-
 def nms_boxes(xywh: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5) -> np.ndarray:
     """Greedy non-maximum suppression over an ``(n, 4)`` array of boxes.
 
@@ -228,28 +219,6 @@ def non_max_suppression(
     if not isinstance(boxes, np.ndarray):
         boxes = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
     return nms_boxes(boxes, np.asarray(scores, dtype=np.float64), iou_threshold).tolist()
-
-
-def merge_overlapping(boxes: Iterable[Rect], iou_threshold: float = 0.3) -> list[Rect]:
-    """Merge clusters of mutually overlapping boxes into their union bounds.
-
-    A simple single-linkage clustering: any two boxes with IoU above the
-    threshold end up in the same cluster.  Used by the dark pipeline to fuse
-    taillight pair candidates that localise the same vehicle.
-    """
-    pool = list(boxes)
-    merged: list[Rect] = []
-    while pool:
-        seed = pool.pop()
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(pool) - 1, -1, -1):
-                if seed.iou(pool[i]) > iou_threshold:
-                    seed = seed.union_bounds(pool.pop(i))
-                    changed = True
-        merged.append(seed)
-    return merged
 
 
 def match_detections(

@@ -1,4 +1,4 @@
-"""Image resampling: nearest-neighbour, area (box) and bilinear resize.
+"""Image resampling: area (box) and bilinear resize.
 
 The dark pipeline downsamples the thresholded 1920x1080 frame to 640x360
 (paper Fig. 4) before the morphological and DBN stages.  Downsampling by an
@@ -44,19 +44,6 @@ def downsample_binary(mask: np.ndarray, factor: int, vote: float = 0.25) -> np.n
         raise ImageError(f"vote must be in (0, 1], got {vote}")
     averaged = downsample_area(src.astype(np.float64), factor)
     return averaged >= vote
-
-
-def resize_nearest(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:
-    """Nearest-neighbour resize to an arbitrary output shape."""
-    arr = np.asarray(image)
-    if arr.ndim not in (2, 3):
-        raise ImageError(f"image must be 2-D or 3-D, got shape {arr.shape}")
-    if out_height < 1 or out_width < 1:
-        raise ImageError("output shape must be positive")
-    in_h, in_w = arr.shape[:2]
-    ys = np.minimum((np.arange(out_height) + 0.5) * in_h / out_height, in_h - 1).astype(int)
-    xs = np.minimum((np.arange(out_width) + 0.5) * in_w / out_width, in_w - 1).astype(int)
-    return arr[np.ix_(ys, xs)] if arr.ndim == 2 else arr[np.ix_(ys, xs)]
 
 
 def resize_bilinear(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:

@@ -4,7 +4,6 @@ from repro.ml.dbn import PAPER_DBN_CLASSES, PAPER_DBN_LAYERS, DbnConfig, DeepBel
 from repro.ml.kernels import affine_matrix, affine_rows, ensure_rows, square_norm_rows
 from repro.ml.linear import LinearModel, require_trained, validate_training_set
 from repro.ml.logistic import SoftmaxConfig, SoftmaxLayer, one_hot, sigmoid, softmax
-from repro.ml.model_io import load_dbn, load_linear_model, save_dbn, save_linear_model
 from repro.ml.rbm import Rbm, RbmConfig
 from repro.ml.scaler import MinMaxScaler, StandardScaler
 from repro.ml.svm import LinearSvm, SvmConfig, train_svm
@@ -27,12 +26,8 @@ __all__ = [
     "affine_rows",
     "ensure_rows",
     "square_norm_rows",
-    "load_dbn",
-    "load_linear_model",
     "one_hot",
     "require_trained",
-    "save_dbn",
-    "save_linear_model",
     "sigmoid",
     "softmax",
     "train_svm",

@@ -1,69 +1,78 @@
-"""Differential tests: the full adaptive detector, batched vs reference.
+"""Differential tests: a routed drive, batched vs reference detectors.
 
-A seeded drive crosses day -> dusk -> dark; two AdaptiveVehicleDetector
-instances share the same trained models but opposite ``batched`` flags.
-Every FrameResult — condition, active pipeline, reconfiguration state, and
-each detection down to its score bits — must be identical.
+A seeded sunset drive crosses day -> dusk -> dark, with a retried partial
+reconfiguration; :meth:`DriveReport.vehicle_pipelines` names the pipeline
+the vehicle partition ran each frame through.  Batched and reference
+detectors share the same trained models and run over the same routes;
+every detection, down to its score bits, must be identical.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
-from repro.core.functional import AdaptiveVehicleDetector, FunctionalConfig
-from repro.datasets.lighting import LightingCondition, lighting_for_condition
+from repro.core.spec import DriveSpec
+from repro.core.system import run_drive_spec
+from repro.datasets.lighting import lighting_for_condition
 from repro.datasets.scene import SceneConfig, render_scene
+from repro.pipelines.dark import DarkVehicleDetector
+from repro.pipelines.day_dusk import DayDuskConfig, HogSvmVehicleDetector
 
 from tests.equivalence.test_pipelines import assert_detections_identical
 
 pytestmark = pytest.mark.equivalence
 
-# (time_s, lux, lighting) samples walking the controller through all three
-# conditions, including the dusk<->dark partial-reconfiguration windows.
-DRIVE = [
-    (0.0, 30000.0, LightingCondition.DAY),
-    (1.0, 30000.0, LightingCondition.DAY),
-    (2.0, 400.0, LightingCondition.DUSK),
-    (5.0, 400.0, LightingCondition.DUSK),
-    (8.0, 1.0, LightingCondition.DARK),
-    (11.0, 1.0, LightingCondition.DARK),
-    (14.0, 1.0, LightingCondition.DARK),
-    (17.0, 400.0, LightingCondition.DUSK),
-    (20.0, 30000.0, LightingCondition.DAY),
-]
+SPEC = DriveSpec(trace="sunset", duration_s=5.0, fault_scenario="pr_timeout")
+FRAMES_PER_ROUTE = 3
 
 
-def drive_frames(seed: int):
+def routed_frames(seed: int, routes_wanted=("day", "dusk", "dark", None)):
+    """``(route, rgb)`` for a few frames of each route, spread over the drive."""
+    report = run_drive_spec(SPEC)
+    routes = report.vehicle_pipelines()
     frames = []
-    for i, (time_s, lux, condition) in enumerate(DRIVE):
-        config = SceneConfig(
-            height=120,
-            width=210,
-            n_vehicles=2,
-            n_oncoming=1,
-            vehicle_fill=(0.1, 0.2),
-            seed=seed * 100 + i,
-        )
-        frames.append((time_s, lux, render_scene(config, lighting_for_condition(condition)).rgb))
+    for wanted in routes_wanted:
+        indices = [i for i, route in enumerate(routes) if route == wanted]
+        assert indices, f"drive has no {wanted!r} frames"
+        step = max(1, len(indices) // FRAMES_PER_ROUTE)
+        for i in indices[::step][:FRAMES_PER_ROUTE]:
+            config = SceneConfig(
+                height=120,
+                width=210,
+                n_vehicles=2,
+                n_oncoming=1,
+                vehicle_fill=(0.1, 0.2),
+                seed=seed * 10_000 + i,
+            )
+            lighting = lighting_for_condition(report.frames[i].condition)
+            frames.append((routes[i], render_scene(config, lighting).rgb))
     return frames
 
 
-def make_detector(condition_models, dark_detector, batched: bool) -> AdaptiveVehicleDetector:
-    return AdaptiveVehicleDetector(
-        condition_models,
-        dark_detector,
-        config=FunctionalConfig(batched=batched),
+def make_pipelines(condition_models, dark_detector, batched: bool, multiscale: bool = False):
+    """Route name -> detect callable, every stage on the chosen path."""
+    hog = HogSvmVehicleDetector(DayDuskConfig(batched=batched))
+    # Same trained stages, path flag set — detectors are cheap shells
+    # around their models.
+    dark = DarkVehicleDetector(
+        replace(dark_detector.config, batched=batched),
+        dbn=dark_detector.dbn,
+        matcher=dark_detector.matcher,
     )
+    pipelines = {"dark": dark.detect}
+    for model in ("day", "dusk"):
+        detector = hog.with_model(condition_models[model])
+        pipelines[model] = detector.detect_multiscale if multiscale else detector.detect
+    return pipelines
 
 
-def assert_frame_results_identical(a, b):
-    assert a.time_s == b.time_s
-    assert a.condition is b.condition
-    assert a.active_pipeline == b.active_pipeline
-    assert a.reconfiguring == b.reconfiguring
-    assert a.degraded == b.degraded
-    assert_detections_identical(a.detections, b.detections)
+def assert_routed_identical(batched, reference, frames):
+    for route, rgb in frames:
+        if route is None:
+            continue  # the partition skipped the frame: no pipeline runs
+        assert_detections_identical(batched[route](rgb), reference[route](rgb))
 
 
 class TestAdaptiveDrive:
@@ -71,29 +80,21 @@ class TestAdaptiveDrive:
     def test_frame_records_identical_across_conditions(
         self, condition_models, dark_detector, seed
     ):
-        batched = make_detector(condition_models, dark_detector, batched=True)
-        reference = make_detector(condition_models, dark_detector, batched=False)
-        for time_s, lux, frame in drive_frames(seed):
-            result_b = batched.process(time_s, lux, frame)
-            result_r = reference.process(time_s, lux, frame)
-            assert_frame_results_identical(result_b, result_r)
-        assert len(batched.results) == len(reference.results) == len(DRIVE)
+        batched = make_pipelines(condition_models, dark_detector, batched=True)
+        reference = make_pipelines(condition_models, dark_detector, batched=False)
+        assert_routed_identical(batched, reference, routed_frames(seed))
 
     def test_batched_flag_reaches_all_pipelines(self, condition_models, dark_detector):
-        reference = make_detector(condition_models, dark_detector, batched=False)
-        for detector in reference._hog.values():
-            assert detector.config.batched is False
-        assert reference._dark.config.batched is False
-        assert reference._dark.dbn is dark_detector.dbn  # same trained stages
-        batched = make_detector(condition_models, dark_detector, batched=True)
-        assert batched._dark is dark_detector  # default flag: no reshelling
+        # Guards the suite against comparing the hot path with itself.
+        for batched in (True, False):
+            pipelines = make_pipelines(condition_models, dark_detector, batched)
+            for detect in pipelines.values():
+                assert detect.__self__.config.batched is batched
+        reference = make_pipelines(condition_models, dark_detector, batched=False)
+        assert reference["dark"].__self__.dbn is dark_detector.dbn  # same trained stages
 
     def test_multiscale_drive_identical(self, condition_models, dark_detector):
-        config_b = FunctionalConfig(batched=True, multiscale=True)
-        config_r = FunctionalConfig(batched=False, multiscale=True)
-        batched = AdaptiveVehicleDetector(condition_models, dark_detector, config=config_b)
-        reference = AdaptiveVehicleDetector(condition_models, dark_detector, config=config_r)
-        for time_s, lux, frame in drive_frames(3)[:4]:  # day + dusk levels
-            assert_frame_results_identical(
-                batched.process(time_s, lux, frame), reference.process(time_s, lux, frame)
-            )
+        batched = make_pipelines(condition_models, dark_detector, True, multiscale=True)
+        reference = make_pipelines(condition_models, dark_detector, False, multiscale=True)
+        # Day and dusk routes: the pyramid levels are the multiscale path.
+        assert_routed_identical(batched, reference, routed_frames(3, ("day", "dusk")))

@@ -27,3 +27,12 @@ class TestAdaptiveGain:
     def test_counts_consistent(self, result):
         for score in result.scores:
             assert sum(score.total.values()) == result.n_frames
+
+    def test_render_prints_measured_reconfiguration_cost(self, result):
+        # One dusk -> dark reconfiguration, costing the frames the drive
+        # measured rather than a configured blind window.
+        assert result.drops_per_reconfiguration >= 1.0
+        assert (
+            f"{result.drops_per_reconfiguration:g} vehicle frames dropped per reconfiguration"
+            in result.render()
+        )

@@ -4,86 +4,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.functional import AdaptiveVehicleDetector
-from repro.datasets.lighting import LightingCondition, lighting_for_condition
-from repro.datasets.scene import SceneConfig, render_scene
-from repro.errors import PipelineError
-from repro.faults.pipeline import FaultyPipeline
-from repro.faults.plan import FaultPlan, FaultSite, FaultSpec
+from repro.core.spec import DriveSpec
+from repro.core.system import run_drive_spec
 
 pytestmark = pytest.mark.faults
 
 
-def _frame(condition: LightingCondition, seed: int = 5):
-    config = SceneConfig(
-        height=120, width=210, n_vehicles=1, vehicle_fill=(0.1, 0.16), seed=seed
-    )
-    return render_scene(config, lighting_for_condition(condition)).rgb
-
-
-def _burst_plan(start_s: float, end_s: float, firings: int | None = None) -> FaultPlan:
-    return FaultPlan(
-        [FaultSpec(
-            site=FaultSite.PIPELINE_EXCEPTION,
-            target="vehicle",
-            start_s=start_s,
-            end_s=end_s,
-            max_firings=firings,
-        )]
-    )
-
-
-class TestFaultyPipelineWrapper:
-    def test_raises_on_scheduled_frames_only(self, condition_models, dark_detector):
-        plan = FaultPlan(
-            [FaultSpec(site=FaultSite.PIPELINE_EXCEPTION, target="vehicle-dark",
-                       start_s=0.02, end_s=0.06)]
-        )
-        wrapped = FaultyPipeline(dark_detector, plan, frame_period_s=0.02)
-        frame = _frame(LightingCondition.DARK)
-        wrapped.detect(frame)  # t=0.00: fine
-        with pytest.raises(PipelineError):
-            wrapped.detect(frame)  # t=0.02: in window
-        with pytest.raises(PipelineError):
-            wrapped.detect(frame)  # t=0.04: in window
-        wrapped.detect(frame)  # t=0.06: window closed
-        assert wrapped.frames_seen == 4
-        assert wrapped.frames_failed == 2
-        assert plan.firings() == 2
-
-    def test_classify_crop_passthrough(self, condition_models, dark_detector):
-        plan = FaultPlan()
-        wrapped = FaultyPipeline(dark_detector, plan)
-        crop = _frame(LightingCondition.DARK)[:40, :40]
-        assert wrapped.classify_crop(crop) == dark_detector.classify_crop(crop)
-
-
 class TestFunctionalDegradation:
-    def test_injected_exception_degrades_not_crashes(self, condition_models, dark_detector):
-        plan = _burst_plan(0.1, 0.3, firings=1)
-        detector = AdaptiveVehicleDetector(condition_models, dark_detector, fault_plan=plan)
-        frame = _frame(LightingCondition.DAY)
-        ok = detector.process(0.0, 30000.0, frame)
-        hit = detector.process(0.2, 30000.0, frame)
-        recovered = detector.process(0.4, 30000.0, frame)
-        assert not ok.degraded
-        assert hit.degraded and hit.detections == []
-        assert not recovered.degraded
-        assert detector.degraded_frames == 1
-
-    def test_real_pipeline_error_also_degrades(self, condition_models, dark_detector):
-        detector = AdaptiveVehicleDetector(condition_models, dark_detector)
-        # Feed garbage that makes the pipeline raise internally.
-        class Boom:
-            name = "boom"
-
-            def detect(self, frame):
-                raise PipelineError("synthetic crash")
-
-            def classify_crop(self, crop):
-                raise PipelineError("synthetic crash")
-
-        detector._hog["day"] = Boom()
-        result = detector.process(0.0, 30000.0, _frame(LightingCondition.DAY))
-        assert result.degraded
-        assert result.detections == []
+    def test_injected_exception_degrades_not_crashes(self):
+        # A burst of vehicle detector exceptions mid-drive: each costs its
+        # frame (no pipeline runs on it), the drive completes, the stream
+        # resumes, and the pedestrian partition never notices.
+        report = run_drive_spec(
+            DriveSpec(trace="sunset", duration_s=10.0, fault_scenario="detector_crash")
+        )
+        flushed = [
+            i for i, f in enumerate(report.frames)
+            if any(label.startswith("degrade:detector-flush") for label in f.faults)
+        ]
+        routes = report.vehicle_pipelines()
+        assert len(flushed) == 10
+        assert all(routes[i] is None for i in flushed)
+        assert routes[flushed[-1] + 1] is not None
+        assert report.pedestrian_dropped == 0

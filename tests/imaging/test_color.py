@@ -9,12 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.errors import ImageError
 from repro.imaging.color import (
-    gray_to_rgb,
     luminance,
     redness,
     rgb_to_ycbcr,
     split_channels,
-    ycbcr_to_rgb,
 )
 
 
@@ -62,16 +60,6 @@ class TestConversion:
         with pytest.raises(ImageError):
             rgb_to_ycbcr(np.zeros((4, 4)))
 
-    def test_rejects_bad_ycbcr_shape(self):
-        with pytest.raises(ImageError):
-            ycbcr_to_rgb(np.zeros((4, 4, 2)))
-
-    @settings(max_examples=50)
-    @given(rgb_images())
-    def test_roundtrip(self, rgb):
-        back = ycbcr_to_rgb(rgb_to_ycbcr(rgb))
-        assert np.allclose(back, rgb, atol=1e-9)
-
     @settings(max_examples=30)
     @given(rgb_images())
     def test_chroma_ranges(self, rgb):
@@ -91,10 +79,3 @@ class TestHelpers:
         red[..., 0] = 1.0
         white = np.ones((1, 1, 3))
         assert redness(red)[0, 0] > redness(white)[0, 0]
-
-    def test_gray_to_rgb_replicates(self):
-        gray = np.arange(6, dtype=float).reshape(2, 3) / 6.0
-        rgb = gray_to_rgb(gray)
-        assert rgb.shape == (2, 3, 3)
-        for c in range(3):
-            assert np.array_equal(rgb[..., c], gray)

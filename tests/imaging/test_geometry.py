@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import GeometryError
 from repro.imaging.geometry import (
     Rect,
-    iou_matrix,
     match_detections,
-    merge_overlapping,
     non_max_suppression,
 )
 
@@ -149,13 +145,6 @@ class TestNms:
 
 
 class TestMergeAndMatch:
-    def test_merge_overlapping_clusters(self):
-        boxes = [Rect(0, 0, 10, 10), Rect(2, 2, 10, 10), Rect(40, 40, 5, 5)]
-        merged = merge_overlapping(boxes, iou_threshold=0.3)
-        assert len(merged) == 2
-
-    def test_merge_empty(self):
-        assert merge_overlapping([]) == []
 
     def test_match_detections_one_to_one(self):
         truths = [Rect(0, 0, 10, 10), Rect(30, 30, 10, 10)]
@@ -170,10 +159,3 @@ class TestMergeAndMatch:
         dets = [Rect(9, 9, 10, 10)]  # IoU ~ 0.005
         matches, un_t, un_d = match_detections(truths, dets, iou_threshold=0.5)
         assert matches == [] and un_t == [0] and un_d == [0]
-
-    def test_iou_matrix_shape(self):
-        a = [Rect(0, 0, 1, 1)] * 2
-        b = [Rect(0, 0, 1, 1)] * 3
-        m = iou_matrix(a, b)
-        assert len(m) == 2 and len(m[0]) == 3
-        assert m[0][0] == pytest.approx(1.0)

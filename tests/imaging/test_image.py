@@ -1,4 +1,4 @@
-"""Tests for repro.imaging.image: validation, crop, paste, blending."""
+"""Tests for repro.imaging.image: validation, crop, blending."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from repro.imaging.geometry import Rect
 from repro.imaging.image import (
     additive_light,
     blend,
-    clip01,
     crop,
     ensure_binary,
     ensure_gray,
     ensure_rgb,
-    paste,
 )
 
 
@@ -47,11 +45,6 @@ class TestValidation:
         with pytest.raises(ImageError):
             ensure_binary(np.array([[0.5, 1.0]]))
 
-    def test_clip01(self):
-        out = clip01(np.array([[-1.0, 0.5, 2.0]]))
-        assert out.tolist() == [[0.0, 0.5, 1.0]]
-
-
 class TestCrop:
     def test_crop_extracts_region(self):
         img = np.arange(25, dtype=float).reshape(5, 5)
@@ -69,25 +62,6 @@ class TestCrop:
 
 
 class TestPasteBlend:
-    def test_paste_in_bounds(self):
-        canvas = np.zeros((5, 5))
-        paste(canvas, np.ones((2, 2)), 1, 1)
-        assert canvas[1:3, 1:3].sum() == 4
-        assert canvas.sum() == 4
-
-    def test_paste_clips_at_border(self):
-        canvas = np.zeros((5, 5))
-        paste(canvas, np.ones((3, 3)), 4, 4)
-        assert canvas.sum() == 1
-
-    def test_paste_fully_outside_is_noop(self):
-        canvas = np.zeros((5, 5))
-        paste(canvas, np.ones((2, 2)), 10, 10)
-        assert canvas.sum() == 0
-
-    def test_paste_rejects_dim_mismatch(self):
-        with pytest.raises(ImageError):
-            paste(np.zeros((5, 5)), np.ones((2, 2, 3)), 0, 0)
 
     def test_blend_alpha(self):
         canvas = np.zeros((2, 2))

@@ -10,12 +10,10 @@ from hypothesis.extra import numpy as hnp
 from repro.errors import ImageError
 from repro.imaging.morphology import (
     closing,
-    cross_element,
     dilate,
     erode,
     opening,
     rect_element,
-    remove_small_regions,
     square_element,
 )
 
@@ -36,16 +34,6 @@ class TestElements:
     def test_rect_rejects_zero(self):
         with pytest.raises(ImageError):
             rect_element(0, 3)
-
-    def test_cross_shape(self):
-        c = cross_element(3)
-        assert c.sum() == 5
-        assert c[1, 1] and c[0, 1] and c[1, 0]
-
-    def test_cross_rejects_even(self):
-        with pytest.raises(ImageError):
-            cross_element(4)
-
 
 class TestDilateErode:
     def test_dilate_grows_point(self):
@@ -135,20 +123,3 @@ class TestOpenClose:
         el = square_element(3)
         once = closing(mask, el)
         assert np.array_equal(closing(once, el), once)
-
-
-class TestRemoveSmall:
-    def test_removes_below_min_area(self):
-        mask = np.zeros((10, 10), dtype=bool)
-        mask[0, 0] = True  # area 1
-        mask[5:8, 5:8] = True  # area 9
-        out = remove_small_regions(mask, min_area=4)
-        assert not out[0, 0]
-        assert out[6, 6]
-
-    def test_min_area_one_is_copy(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1, 1] = True
-        out = remove_small_regions(mask, min_area=1)
-        assert np.array_equal(out, mask)
-        assert out is not mask

@@ -11,7 +11,6 @@ from repro.imaging.resize import (
     downsample_binary,
     pyramid_scales,
     resize_bilinear,
-    resize_nearest,
     resize_rgb_bilinear,
 )
 
@@ -54,14 +53,6 @@ class TestDownsample:
 
 
 class TestResize:
-    def test_nearest_identity(self):
-        img = np.random.default_rng(1).random((3, 5))
-        assert np.allclose(resize_nearest(img, 3, 5), img)
-
-    def test_nearest_upsample_replicates(self):
-        img = np.array([[1.0, 2.0]])
-        out = resize_nearest(img, 1, 4)
-        assert out.tolist() == [[1.0, 1.0, 2.0, 2.0]]
 
     def test_bilinear_identity(self):
         img = np.random.default_rng(2).random((4, 4))

@@ -9,11 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.errors import ImageError
 from repro.imaging.threshold import (
-    band_threshold,
     binary_threshold,
     histogram,
-    light_source_mask,
-    multilevel_thresholds,
     otsu_threshold,
 )
 
@@ -52,15 +49,6 @@ class TestBinary:
         # Raising the threshold can only clear pixels.
         assert not np.any(mask_hi & ~mask_lo)
 
-    def test_band(self):
-        img = np.array([[0.1, 0.5, 0.9]])
-        assert band_threshold(img, 0.4, 0.6).tolist() == [[False, True, False]]
-
-    def test_band_rejects_empty(self):
-        with pytest.raises(ImageError):
-            band_threshold(np.ones((1, 1)), 0.6, 0.4)
-
-
 class TestHistogramOtsu:
     def test_histogram_counts(self):
         img = np.array([[0.0, 0.0, 1.0]])
@@ -86,40 +74,3 @@ class TestHistogramOtsu:
     def test_otsu_within_range(self, img):
         t = otsu_threshold(img)
         assert 0.0 <= t <= 1.0
-
-
-class TestMultilevel:
-    def test_two_levels_on_trimodal(self):
-        rng = np.random.default_rng(1)
-        vals = np.concatenate(
-            [rng.normal(0.15, 0.02, 300), rng.normal(0.5, 0.02, 300), rng.normal(0.85, 0.02, 300)]
-        )
-        img = np.clip(vals, 0, 1).reshape(30, 30)
-        cuts = multilevel_thresholds(img, levels=2)
-        assert len(cuts) == 2
-        assert 0.2 < cuts[0] < 0.45
-        assert 0.55 < cuts[1] < 0.8
-
-    def test_sorted_output(self):
-        rng = np.random.default_rng(2)
-        cuts = multilevel_thresholds(rng.random((16, 16)), levels=3)
-        assert cuts == sorted(cuts)
-
-    def test_rejects_zero_levels(self):
-        with pytest.raises(ImageError):
-            multilevel_thresholds(np.ones((4, 4)), levels=0)
-
-
-class TestLightSourceMask:
-    def test_detects_bright_spot_on_dark(self):
-        img = np.full((20, 20), 0.05)
-        img[8:12, 8:12] = 0.95
-        mask = light_source_mask(img)
-        assert mask[9, 9]
-        assert not mask[0, 0]
-        assert mask.sum() == 16
-
-    def test_explicit_threshold(self):
-        img = np.array([[0.2, 0.8]])
-        mask = light_source_mask(img, luma_threshold=0.5)
-        assert mask.tolist() == [[False, True]]
