@@ -60,11 +60,13 @@ PYTHONPATH=src python -m repro incident smoke --duration 20 --scenario flaky_dma
 echo "== repro fleet smoke (sharded drives vs inline digest re-check)"
 PYTHONPATH=src python -m repro fleet smoke >/dev/null || status=1
 
-echo "== repro fleet top --once (live-plane smoke + OpenMetrics exposition check)"
+echo "== repro fleet top --once (live-plane smoke + OpenMetrics exposition check + rollup report)"
 fleet_tmp=$(mktemp -d)
 PYTHONPATH=src python -m repro fleet top --once --count 4 --duration 1.0 >/dev/null || status=1
 PYTHONPATH=src python -m repro fleet run --count 4 --workers 2 --duration 1.0 \
     --out "$fleet_tmp/FLEET_check.json" --metrics-out "$fleet_tmp/fleet.om" >/dev/null || status=1
+# write -> load -> validate -> render: the rollup just written must read back.
+PYTHONPATH=src python -m repro fleet report "$fleet_tmp/FLEET_check.json" >/dev/null || status=1
 if ! grep -q "^# EOF" "$fleet_tmp/fleet.om"; then
     echo "check.sh: OpenMetrics exposition missing '# EOF' terminator" >&2
     status=1

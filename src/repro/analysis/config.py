@@ -75,24 +75,6 @@ def _within(module: str, packages: tuple[str, ...]) -> bool:
     return any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
 
 
-def _default_wall_strip_keys() -> frozenset[str]:
-    # Single source of truth: the strip lists next to the deterministic
-    # views themselves — a wall value stored under one of these keys is
-    # removed before any byte-compared artefact is built.
-    from repro.fleet.outcome import WALL_METRIC_NAMES, WALL_OUTCOME_FIELDS
-    from repro.fleet.rollup import WALL_ROLLUP_KEYS
-    from repro.fleet.status import WALL_STATUS_KEYS
-    from repro.quality.baseline import WALL_QUALITY_KEYS
-
-    return (
-        frozenset(WALL_METRIC_NAMES)
-        | frozenset(WALL_OUTCOME_FIELDS)
-        | frozenset(WALL_ROLLUP_KEYS)
-        | frozenset(WALL_STATUS_KEYS)
-        | frozenset(WALL_QUALITY_KEYS)
-    )
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Repository-specific knobs consumed by the rules.
@@ -122,8 +104,6 @@ class LintConfig:
             enclosing function is a ``*_reference`` branch.
         deterministic_sinks: Function names whose arguments must be free
             of wall-clock/entropy taint (the byte-compared artefacts).
-        wall_strip_keys: Dict keys / keyword names the deterministic
-            views strip; storing a wall value under one launders it.
         fork_packages: Packages running under the fork-based worker pool;
             the fork-safety rules apply there.
         fork_worker_modules: Modules whose functions execute inside
@@ -172,14 +152,11 @@ class LintConfig:
     deterministic_sinks: frozenset[str] = frozenset(
         {
             "deterministic_view",
-            "deterministic_outcome_dict",
-            "deterministic_metrics",
             "frame_core_dict",
             "frame_core_bytes",
             "frames_digest",
         }
     )
-    wall_strip_keys: frozenset[str] = field(default_factory=_default_wall_strip_keys)
     fork_packages: tuple[str, ...] = ("repro.fleet",)
     fork_worker_modules: tuple[str, ...] = ("repro.fleet.worker",)
     fork_payload_types: frozenset[str] = frozenset({"DriveSpec"})

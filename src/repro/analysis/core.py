@@ -330,14 +330,14 @@ def analyze_sources(
         if parsed.module in sources:
             # Same dotted name twice (scratch trees): keep the first for
             # the graph, still lint the second standalone below.
-            solo = ProjectContext([parsed], wall_strip_keys=cfg.wall_strip_keys)
+            solo = ProjectContext([parsed])
             violations.extend(_check_module(parsed, source, cfg, solo))
             continue
         parsed_modules.append(parsed)
         sources[parsed.module] = source
 
     _load_rules()
-    project = ProjectContext(parsed_modules, wall_strip_keys=cfg.wall_strip_keys)
+    project = ProjectContext(parsed_modules)
 
     if jobs > 1 and len(parsed_modules) > 1:
         chunks = _run_parallel(parsed_modules, sources, cfg, project, jobs)

@@ -33,12 +33,11 @@ The taint model, honestly stated (a linter, not a verifier):
   clean parameters — argument flow into project calls is not tracked);
   calls to unresolved/builtin functions conservatively propagate argument
   and receiver taint.
-* **Laundering**: a value stored under a key or keyword named in the wall
-  strip lists (``WALL_METRIC_NAMES`` / ``WALL_ROLLUP_KEYS`` /
-  ``WALL_OUTCOME_FIELDS``) is clean again — the deterministic views strip
-  exactly those keys, so the wall value never survives into the
-  deterministic artefact.  Resolved project *class* constructors are
-  clean (dataclasses segregate wall fields by the same contract).
+* **Laundering**: a value stored under the key or keyword :data:`WALL_KEY`
+  is clean again — every record keeps its wall data under that one key
+  and ``deterministic_view`` drops it, so the wall value never survives
+  into the deterministic artefact.  Resolved project *class* constructors
+  are clean (records segregate wall fields by the same contract).
 """
 
 from __future__ import annotations
@@ -46,6 +45,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+#: The one key records keep their wall data under; ``deterministic_view``
+#: drops it, so a value stored under it is laundered.
+WALL_KEY = "wall"
 
 #: Host-clock calls that leak nondeterminism into a simulation.  This is
 #: the canonical definition; :mod:`repro.analysis.rules.determinism`
@@ -327,17 +330,11 @@ class ProjectContext:
     file boundaries.
     """
 
-    def __init__(
-        self,
-        parsed: Iterable[ParsedModule],
-        *,
-        wall_strip_keys: frozenset[str] = frozenset(),
-    ):
+    def __init__(self, parsed: Iterable[ParsedModule]):
         self.modules: dict[str, ParsedModule] = {pm.module: pm for pm in parsed}
         self.summaries: dict[str, ModuleSummary] = {
             name: summarize_module(pm) for name, pm in self.modules.items()
         }
-        self.wall_strip_keys = wall_strip_keys
         self.import_graph: dict[str, dict[str, int]] = self._build_import_graph()
         self.functions: dict[str, FunctionInfo] = self._index_functions()
         self.call_edges: dict[str, frozenset[str]] = {}
@@ -456,7 +453,6 @@ class ProjectContext:
                 evaluator = TaintEvaluator(
                     project=self,
                     module=info.module,
-                    strip_keys=self.wall_strip_keys,
                     summaries=tainted,
                 )
                 if evaluator.returns_tainted(info.node):
@@ -565,12 +561,10 @@ class TaintEvaluator:
         *,
         project: "ProjectContext | None",
         module: str,
-        strip_keys: frozenset[str],
         summaries: "set[str] | frozenset[str]",
     ):
         self.project = project
         self.module = module
-        self.strip_keys = strip_keys
         self.summaries = summaries
 
     # Scope scanning ----------------------------------------------------------
@@ -673,10 +667,9 @@ class TaintEvaluator:
                 if (
                     key is not None
                     and isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and key.value in self.strip_keys
+                    and key.value == WALL_KEY
                 ):
-                    continue  # laundered: the deterministic views strip it
+                    continue  # laundered: deterministic_view drops it
                 if value is not None and self.expr_tainted(value, tainted):
                     return True
             return False
@@ -715,11 +708,11 @@ class TaintEvaluator:
                 return resolved in self.summaries
             kind = self.project.resolved_kind(self.module, name)
             if kind == "class":
-                # Project dataclasses segregate wall fields under strip
-                # keys by contract; the instance itself is clean.
+                # Project records segregate wall fields under WALL_KEY by
+                # contract; the instance itself is clean.
                 return False
         # Unresolved (builtin / third-party / method) call: conservatively
-        # propagate receiver and argument taint, laundering strip kwargs.
+        # propagate receiver and argument taint, laundering a WALL_KEY kwarg.
         if isinstance(call.func, ast.Attribute) and self.expr_tainted(
             call.func.value, tainted
         ):
@@ -728,7 +721,7 @@ class TaintEvaluator:
             if self.expr_tainted(arg, tainted):
                 return True
         for keyword in call.keywords:
-            if keyword.arg is not None and keyword.arg in self.strip_keys:
+            if keyword.arg == WALL_KEY:
                 continue
             if self.expr_tainted(keyword.value, tainted):
                 return True

@@ -3,9 +3,8 @@
 The repo's central correctness property is byte-identical output across
 the three execution modes (per-window reference, batched kernels, sharded
 fleet workers).  The artefacts that get byte-compared are produced by a
-small set of *deterministic sinks* — ``deterministic_view``,
-``deterministic_outcome_dict``, ``deterministic_metrics``, the frame-core
-canonicalizers and ``frames_digest``.  Any wall-clock, environment, or
+small set of *deterministic sinks* — ``deterministic_view``, the
+frame-core canonicalizers and ``frames_digest``.  Any wall-clock, environment, or
 entropy-derived value reaching a sink argument breaks the comparison in a
 way no unit test notices until two runs happen to disagree.
 
@@ -13,10 +12,12 @@ This rule consumes the project pass: function return values carry
 interprocedural taint summaries (``ProjectContext.wall_tainted_functions``,
 a fixpoint over the call graph), and the shared :class:`TaintEvaluator`
 tracks flow through locals, containers, arithmetic and ``with`` bindings
-inside each scope.  Values stored under the wall strip keys
-(``WALL_METRIC_NAMES`` / ``WALL_OUTCOME_FIELDS`` / ``WALL_ROLLUP_KEYS``)
-are laundered — the deterministic views strip exactly those keys, so the
-wall value never survives into the artefact.
+inside each scope.  A value stored under the one ``wall`` key
+(:data:`~repro.analysis.project.WALL_KEY`), as a dict key or a keyword,
+is laundered: every record keeps its wall data there and
+``deterministic_view`` drops it, so the wall value never survives into
+the artefact.  Any other name — a top-level ``latency_ms`` included —
+carries its taint into the sink.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Iterator
 
 from repro.analysis.core import ModuleContext, Rule, Violation, register
 from repro.analysis.project import (
+    WALL_KEY,
     TaintEvaluator,
     dotted_name,
     iter_scopes,
@@ -42,12 +44,11 @@ class DeterministicSinkTaintRule(Rule):
     summary = (
         "wall-clock/env/RNG-derived value flows into a deterministic sink "
         "(deterministic_view, frame cores, frames_digest) without being "
-        "laundered through the wall strip keys"
+        "laundered under the wall key"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
-        cfg = module.config
-        sinks = cfg.deterministic_sinks
+        sinks = module.config.deterministic_sinks
         summaries = (
             module.project.wall_tainted_functions
             if module.project is not None
@@ -56,7 +57,6 @@ class DeterministicSinkTaintRule(Rule):
         evaluator = TaintEvaluator(
             project=module.project,
             module=module.module,
-            strip_keys=cfg.wall_strip_keys,
             summaries=summaries,
         )
         for scope_name, body in iter_scopes(module.tree):
@@ -77,11 +77,11 @@ class DeterministicSinkTaintRule(Rule):
                             module,
                             arg,
                             f"wall-clock/entropy-derived value reaches "
-                            f"deterministic sink {sink}(){where}; strip it "
-                            "via the wall strip keys or drop it before the sink",
+                            f"deterministic sink {sink}(){where}; store it "
+                            "under the wall key or drop it before the sink",
                         )
                 for keyword in node.keywords:
-                    if keyword.arg is not None and keyword.arg in cfg.wall_strip_keys:
+                    if keyword.arg == WALL_KEY:
                         continue
                     if evaluator.expr_tainted(keyword.value, tainted):
                         yield self.violation(

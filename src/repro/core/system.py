@@ -264,6 +264,23 @@ MODEL_FOR_CONDITION = {
     LightingCondition.DUSK: "dusk",
 }
 
+#: Metric series a drive records that are not a pure function of its spec:
+#: the wall timings (``stage_wall_ms`` comes from ``Telemetry.stage``) and
+#: the scoring only a quality-observed drive adds.  A fleet worker files
+#: them under its outcome's ``wall`` key.
+WALL_SERIES = frozenset(
+    {
+        "frame_wall_ms",
+        "stage_wall_ms",
+        "frame_deadline_misses_total",
+        "quality_frames_scored_total",
+        "quality_tp_total",
+        "quality_fp_total",
+        "quality_fn_total",
+        "detection_iou",
+    }
+)
+
 # Audit label of an aborted vehicle-frame ingress transfer; the DMA fires
 # it while the frame is submitted, so it lands in that frame's record.
 _INGRESS_ABORT = f"fault:{FaultSite.DMA_ERROR.value}@dma-veh-mm2s"

@@ -3,21 +3,22 @@
 An outcome is everything the aggregator needs and nothing it does not:
 the spec that produced it, a status, the drive's frame-core digest (the
 byte-identity comparator from :mod:`repro.core.spec`), the deterministic
-drive summary, the monitor verdict, a per-frame wall-latency histogram,
-a compact telemetry snapshot, and harvested incident-bundle paths.  It
-crosses the worker->scheduler process boundary as a plain dict.
+drive summary, the monitor verdict, a compact telemetry snapshot, and
+harvested incident-bundle paths.  It crosses the worker->scheduler
+process boundary as a plain dict.
 
-Wall-clock-valued fields are segregated so determinism tests (and the
-rollup's ``deterministic_view``) can strip them: ``latency_ms``,
-``wall_s``, ``worker_id``, and the few metric series that are themselves
-wall-derived (``frame_wall_ms``, ``stage_wall_ms``,
-``frame_deadline_misses_total``).
+Everything that is not a pure function of the spec lives under the one
+``wall`` key, set when the outcome is built: the wall timings and
+identity of the execution, and the metric series the worker split off
+the snapshot (:data:`repro.core.system.WALL_SERIES`).  The rollup's
+``deterministic_view`` drops that key and nothing else needs to know
+what is in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import FleetError
 
@@ -25,48 +26,10 @@ from repro.errors import FleetError
 #: a contained failure — the run keeps going either way.
 OUTCOME_STATUSES = ("ok", "failed", "crashed", "timeout", "rejected")
 
-#: Outcome dict keys whose values are wall-clock-derived (stripped by
-#: :func:`deterministic_outcome_dict`).  ``hang_verdict`` and
-#: ``last_heartbeat_age_s`` describe the *execution* of a timed-out drive
-#: (did heartbeats stop, and how stale was the last one) — liveness is a
-#: wall-clock property, so both stay out of the deterministic view.
-WALL_OUTCOME_FIELDS = (
-    "latency_ms",
-    "wall_s",
-    "worker_id",
-    "hang_verdict",
-    "last_heartbeat_age_s",
-)
-
 #: Legal ``hang_verdict`` values for ``timeout`` outcomes: ``hung`` means
 #: the worker's heartbeats stopped before the deadline fired; ``deadline``
 #: means the worker was still beating — slow, not wedged.
 HANG_VERDICTS = ("hung", "deadline")
-
-#: Metric series that carry wall-clock measurements and therefore vary
-#: run to run even for a byte-identical drive.
-WALL_METRIC_NAMES = frozenset(
-    {"frame_wall_ms", "stage_wall_ms", "frame_deadline_misses_total"}
-)
-
-#: Outcome dict keys that exist only when the quality plane is attached
-#: (stripped by :func:`deterministic_outcome_dict`): the deterministic
-#: view of a quality-scored drive must be byte-identical to the view of
-#: the same drive unscored — the quality plane's non-perturbation
-#: contract, the exact analogue of the wall-clock strip above.
-QUALITY_OUTCOME_FIELDS = ("quality",)
-
-#: Metric series emitted only by the quality plane (stripped alongside
-#: the wall series for the same on-vs-off byte-identity reason).
-QUALITY_METRIC_NAMES = frozenset(
-    {
-        "quality_frames_scored_total",
-        "quality_tp_total",
-        "quality_fp_total",
-        "quality_fn_total",
-        "detection_iou",
-    }
-)
 
 
 @dataclass
@@ -91,15 +54,12 @@ class DriveOutcome:
             fleets compare byte-identically.
         incidents: Incident-bundle paths harvested from the drive.
         error: Failure detail for non-``ok`` statuses.
-        latency_ms: ``frame_wall_ms`` histogram dict (wall-clock).
-        wall_s: Wall-clock duration of the drive (wall-clock).
-        worker_id: Executing worker (scheduling-dependent).
-        hang_verdict: For ``timeout`` outcomes with the live plane on:
-            ``"hung"`` (heartbeats stopped) or ``"deadline"`` (still
-            beating, just slow).  ``None`` otherwise (wall-clock).
-        last_heartbeat_age_s: Age of the worker's last heartbeat when the
-            timeout was contained; ``None`` when streaming was off
-            (wall-clock).
+        wall: What the execution, not the spec, decided: ``metrics``
+            (the split-off wall and quality series, ``frame_wall_ms``
+            among them), ``wall_s`` (drive duration), ``worker_id``, and
+            for ``timeout`` outcomes ``hang_verdict`` (``"hung"`` when
+            heartbeats stopped, ``"deadline"`` when still beating, ``None``
+            with streaming off) and ``last_heartbeat_age_s``.
     """
 
     spec: dict
@@ -111,20 +71,17 @@ class DriveOutcome:
     quality: dict = field(default_factory=dict)
     incidents: list = field(default_factory=list)
     error: str = ""
-    latency_ms: dict | None = None
-    wall_s: float | None = None
-    worker_id: int | None = None
-    hang_verdict: str | None = None
-    last_heartbeat_age_s: float | None = None
+    wall: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in OUTCOME_STATUSES:
             raise FleetError(
                 f"unknown outcome status {self.status!r} (one of {OUTCOME_STATUSES})"
             )
-        if self.hang_verdict is not None and self.hang_verdict not in HANG_VERDICTS:
+        hang_verdict = self.wall.get("hang_verdict")
+        if hang_verdict is not None and hang_verdict not in HANG_VERDICTS:
             raise FleetError(
-                f"unknown hang_verdict {self.hang_verdict!r} (one of {HANG_VERDICTS})"
+                f"unknown hang_verdict {hang_verdict!r} (one of {HANG_VERDICTS})"
             )
 
     @property
@@ -134,6 +91,14 @@ class DriveOutcome:
     @property
     def name(self) -> str:
         return str(self.spec.get("name", "drive"))
+
+    @property
+    def frame_latency(self) -> dict | None:
+        """The drive's ``frame_wall_ms`` histogram (``None`` if unrecorded)."""
+        for series in self.wall.get("metrics", ()):
+            if series.get("name") == "frame_wall_ms":
+                return series
+        return None
 
     def to_dict(self) -> dict:
         return {
@@ -146,11 +111,7 @@ class DriveOutcome:
             "quality": dict(self.quality),
             "incidents": list(self.incidents),
             "error": self.error,
-            "latency_ms": self.latency_ms,
-            "wall_s": self.wall_s,
-            "worker_id": self.worker_id,
-            "hang_verdict": self.hang_verdict,
-            "last_heartbeat_age_s": self.last_heartbeat_age_s,
+            "wall": dict(self.wall),
         }
 
     @classmethod
@@ -163,27 +124,3 @@ class DriveOutcome:
             )
         return cls(**dict(data))
 
-
-def deterministic_metrics(series: Iterable[Mapping]) -> list[dict]:
-    """Drop wall-clock-derived and quality-plane series from a snapshot."""
-    return [
-        dict(s)
-        for s in series
-        if s.get("name") not in WALL_METRIC_NAMES
-        and s.get("name") not in QUALITY_METRIC_NAMES
-    ]
-
-
-def deterministic_outcome_dict(outcome: "DriveOutcome | Mapping[str, Any]") -> dict:
-    """An outcome dict with every wall-clock-derived field stripped.
-
-    What remains is a pure function of the spec: two executions of the
-    same spec — different workers, different runs, different machines —
-    produce equal deterministic dicts.  The fleet determinism tests
-    compare exactly this.
-    """
-    data = outcome.to_dict() if isinstance(outcome, DriveOutcome) else dict(outcome)
-    for key in WALL_OUTCOME_FIELDS + QUALITY_OUTCOME_FIELDS:
-        data.pop(key, None)
-    data["metrics"] = deterministic_metrics(data.get("metrics", []))
-    return data

@@ -1,16 +1,19 @@
 """Fleet rollups: fold many ``DriveOutcome`` values into one artefact.
 
 The rollup is the fleet's single answer-sheet: counts by status, fleet
-frame totals, health/SLO aggregates, merged fault counters, the merged
-per-frame wall-latency histogram with p50/p90/p99, harvested incident
-paths, and the full outcome list — all under a schema-versioned envelope
-(``FLEET_SCHEMA`` / ``FLEET_SCHEMA_VERSION``) written as ``FLEET_*.json``.
+frame totals, health/SLO aggregates, merged fault counters, harvested
+incident paths, and the full outcome list — all under a schema-versioned
+envelope (``FLEET_SCHEMA`` / ``FLEET_SCHEMA_VERSION``) written as
+``FLEET_*.json``.
 
-Wall-clock-derived sections are segregated under the keys in
-:data:`WALL_ROLLUP_KEYS` so :func:`deterministic_view` can strip them:
-what remains is a pure function of the spec list, byte-identical between
-a sharded run and the sequential inline reference run (the acceptance
-test of this subsystem).
+Everything that depends on wall clocks or on how the fleet ran — the
+merged per-frame latency histogram with p50/p90/p99, elapsed time and
+rate, timeout verdicts, the run config and the fleet event counts —
+sits under the one ``wall`` key, exactly as in each outcome.
+:func:`deterministic_view` drops ``wall`` (and ``quality``) from the
+rollup and its outcomes: what remains is a pure function of the spec
+list, byte-identical between a sharded run and the sequential inline
+reference run (the acceptance test of this subsystem).
 """
 
 from __future__ import annotations
@@ -22,19 +25,16 @@ from typing import Mapping, Sequence
 from repro import ratchet
 from repro.errors import FleetError
 from repro.fleet.events import FLEET_EVENT_KINDS
-from repro.fleet.outcome import (
-    OUTCOME_STATUSES,
-    DriveOutcome,
-    deterministic_metrics,
-    deterministic_outcome_dict,
-)
+from repro.fleet.outcome import OUTCOME_STATUSES, DriveOutcome
 from repro.quality.records import merge_summaries
 from repro.telemetry.metrics import merge_snapshots
 
 FLEET_SCHEMA = "repro.fleet/rollup"
 # v2: the required "quality" section (merged per-condition detection
 # quality from scored drives; scored_drives == 0 for unscored fleets).
-FLEET_SCHEMA_VERSION = 2
+# v3: "latency_ms", "config" and "events_by_kind" moved under "wall";
+# outcomes carry their wall data under their own "wall" key.
+FLEET_SCHEMA_VERSION = 3
 
 _SCHEMA = ratchet.Schema(
     name=FLEET_SCHEMA,
@@ -45,32 +45,24 @@ _SCHEMA = ratchet.Schema(
     create_hint="repro fleet run --out FLEET_<label>.json",
 )
 
-#: Top-level rollup keys whose values depend on wall clocks or scheduling
-#: (stripped by :func:`deterministic_view`, together with ``config`` and
-#: ``events_by_kind`` which encode *how* the fleet ran, not what it
-#: computed).
-WALL_ROLLUP_KEYS = ("latency_ms", "wall")
-
-#: Top-level rollup keys that exist only when the quality plane is on
-#: (stripped by :func:`deterministic_view` so a scored fleet's view
-#: byte-matches an unscored one's; sharded-vs-inline quality equality is
-#: asserted separately on the full rollup).
-QUALITY_ROLLUP_KEYS = ("quality",)
+#: Keys :func:`deterministic_view` drops from a record and its outcomes:
+#: ``wall`` holds what is not a pure function of the specs, and
+#: ``quality`` is dropped so a scored fleet's view byte-matches an
+#: unscored one's (sharded-vs-inline quality equality is asserted
+#: separately on the full rollup).
+_VIEW_DROPPED_KEYS = ("wall", "quality")
 
 #: Keys every rollup must carry (validation contract).
 REQUIRED_ROLLUP_KEYS = (
     "schema",
     "schema_version",
-    "config",
     "fleet",
     "frames",
     "health",
     "faults",
     "quality",
-    "latency_ms",
     "metrics",
     "incidents",
-    "events_by_kind",
     "wall",
     "outcomes",
 )
@@ -142,14 +134,12 @@ def build_rollup(
     monitored_drives = sum(1 for o in folded if o.verdict)
 
     latency = merge_snapshots(
-        *([o.latency_ms] for o in folded if o.latency_ms is not None)
+        *([o.frame_latency] for o in folded if o.frame_latency is not None)
     )
-    metrics = merge_snapshots(
-        *(deterministic_metrics(o.metrics) for o in folded if o.metrics)
-    )
+    metrics = merge_snapshots(*(o.metrics for o in folded if o.metrics))
     incident_paths = [path for o in folded for path in o.incidents]
 
-    wall_s_values = [o.wall_s for o in folded if o.wall_s is not None]
+    wall_s_values = [o.wall["wall_s"] for o in folded if o.wall.get("wall_s") is not None]
     elapsed = float(elapsed_s) if elapsed_s is not None else sum(wall_s_values)
     executed = len(folded)
 
@@ -160,7 +150,7 @@ def build_rollup(
     for outcome in folded:
         if outcome.status != "timeout":
             continue
-        verdict_key = outcome.hang_verdict or "unknown"
+        verdict_key = outcome.wall.get("hang_verdict") or "unknown"
         timeouts_by_verdict[verdict_key] = timeouts_by_verdict.get(verdict_key, 0) + 1
 
     config_dict: dict = {}
@@ -170,7 +160,6 @@ def build_rollup(
     return {
         "schema": FLEET_SCHEMA,
         "schema_version": FLEET_SCHEMA_VERSION,
-        "config": config_dict,
         "fleet": {
             "drives": executed,
             "ok": by_status.get("ok", 0),
@@ -197,37 +186,34 @@ def build_rollup(
         # shard-order-independent (ConfusionCounts.merge is associative
         # and commutative), so sharded and inline runs agree exactly.
         "quality": merge_summaries(o.quality for o in folded if o.quality),
-        "latency_ms": latency[0] if latency else None,
         "metrics": metrics,
         "incidents": incident_paths,
-        "events_by_kind": dict(events_by_kind or {}),
         "wall": {
             "elapsed_s": elapsed,
             "drive_wall_s": sum(wall_s_values),
             "drives_per_s": executed / elapsed if elapsed > 0 else 0.0,
             "timeouts_by_verdict": timeouts_by_verdict,
+            "latency_ms": latency[0] if latency else None,
+            "config": config_dict,
+            "events_by_kind": dict(events_by_kind or {}),
         },
         "outcomes": [o.to_dict() for o in folded] + [o.to_dict() for o in rejections],
     }
 
 
-def deterministic_view(rollup: Mapping) -> dict:
-    """The rollup minus everything wall-clock- or scheduling-dependent.
+def deterministic_view(record: Mapping) -> dict:
+    """A rollup or outcome dict without its ``wall`` and ``quality`` keys.
 
-    Two runs of the same spec list — different worker counts, machines,
-    or wall speeds — produce equal deterministic views.  The fleet
+    The keys go from the record and from each of its ``outcomes``.  Two
+    runs of the same spec list — different worker counts, machines, wall
+    speeds, scored or not — produce equal deterministic views.  The fleet
     determinism tests compare exactly this (sharded vs inline).
     """
     view = {
-        key: value
-        for key, value in rollup.items()
-        if key not in WALL_ROLLUP_KEYS
-        and key not in QUALITY_ROLLUP_KEYS
-        and key not in ("config", "events_by_kind")
+        key: value for key, value in record.items() if key not in _VIEW_DROPPED_KEYS
     }
-    view["outcomes"] = [
-        deterministic_outcome_dict(o) for o in rollup.get("outcomes", [])
-    ]
+    if "outcomes" in record:
+        view["outcomes"] = [deterministic_view(o) for o in record["outcomes"]]
     return view
 
 
@@ -240,7 +226,7 @@ def validate_rollup(rollup: Mapping) -> None:
     for status in rollup["fleet"].get("by_status", {}):
         if status not in OUTCOME_STATUSES:
             raise FleetError(f"rollup carries unknown outcome status {status!r}")
-    for kind in rollup["events_by_kind"]:
+    for kind in rollup["wall"].get("events_by_kind", {}):
         if kind not in FLEET_EVENT_KINDS:
             raise FleetError(f"rollup carries unknown fleet event kind {kind!r}")
     for outcome in rollup["outcomes"]:
@@ -281,7 +267,7 @@ def render_rollup(rollup: Mapping) -> str:
         f"incidents={health['incidents']} "
         f"states={dict(sorted(health['by_state'].items())) or '{}'}",
     ]
-    latency = rollup.get("latency_ms")
+    latency = wall.get("latency_ms")
     if latency:
         percentiles = latency.get("percentiles", {})
         shown = " ".join(

@@ -539,7 +539,7 @@ class FleetScheduler:
                     spec=spec_dict,
                     status="crashed",
                     error=f"worker {slot.worker_id} died (exit code {exit_code})",
-                    worker_id=slot.worker_id,
+                    wall={"worker_id": slot.worker_id},
                 )
                 self.fleet_event(
                     "fleet.worker.crash",
@@ -575,9 +575,11 @@ class FleetScheduler:
                         f"drive exceeded {self.config.drive_timeout_s}s deadline "
                         f"on worker {slot.worker_id}"
                     ),
-                    worker_id=slot.worker_id,
-                    hang_verdict=hang_verdict,
-                    last_heartbeat_age_s=beat_age_s,
+                    wall={
+                        "worker_id": slot.worker_id,
+                        "hang_verdict": hang_verdict,
+                        "last_heartbeat_age_s": beat_age_s,
+                    },
                 )
                 self.fleet_event(
                     "fleet.worker.timeout",

@@ -12,11 +12,9 @@ a rolling drives/s rate, and fleet-wide frame-latency percentiles.
 Every timestamp the board judges against is the *scheduler's* clock at
 record arrival — a worker cannot vouch for its own liveness with a
 self-reported time.  And everything here is wall-clock territory: the
-status plane observes the execution, never the simulation, so none of
-these values may reach a deterministic sink.  :data:`WALL_STATUS_KEYS`
-declares the field names involved; the determinism-taint lint rule
-treats them as laundering keys, the same way it treats the outcome and
-rollup wall fields.
+status plane observes the execution, never the simulation.  Snapshots
+are never byte-compared and never reach a deterministic sink, so they
+need no ``wall`` key: the whole snapshot is wall data.
 """
 
 from __future__ import annotations
@@ -51,23 +49,6 @@ STATUS_PHASES = ("running", "done")
 #: worker's own progress records; ``suspect``/``hung`` are the liveness
 #: machine's escalation when a *running* worker's heartbeats go quiet.
 WORKER_STATES = ("idle", "running", "suspect", "hung")
-
-#: Status-plane field names carrying wall-clock / scheduling values.
-#: The determinism-taint rule launders these exactly like the outcome and
-#: rollup ``WALL_*`` sets: a value under one of these names is declared
-#: wall-valued and must never flow into a deterministic sink unstripped.
-WALL_STATUS_KEYS = frozenset(
-    {
-        "elapsed_s",
-        "heartbeat_age_s",
-        "last_heartbeat_age_s",
-        "drive_age_s",
-        "drives_per_s",
-        "hang_verdict",
-        "beats",
-        "wall_s",
-    }
-)
 
 #: Default window for the rolling drives/s rate.
 DEFAULT_RATE_WINDOW_S = 10.0
@@ -236,21 +217,17 @@ class StatusBoard:
 
     # Authoritative completions (from the result queue) ----------------------
 
-    def record_outcome(self, outcome: "DriveOutcome | Mapping[str, Any]", now_s: float) -> None:
-        data = outcome.to_dict() if isinstance(outcome, DriveOutcome) else dict(outcome)
-        status = str(data.get("status", "failed"))
-        self.by_status[status] = self.by_status.get(status, 0) + 1
-        summary = data.get("summary") or {}
-        self.frames_total += int(summary.get("frames", 0))
+    def record_outcome(self, outcome: DriveOutcome, now_s: float) -> None:
+        self.by_status[outcome.status] = self.by_status.get(outcome.status, 0) + 1
+        self.frames_total += int(outcome.summary.get("frames", 0))
         self._completions.append(now_s)
-        latency = data.get("latency_ms")
+        latency = outcome.frame_latency
         if latency:
             self._latency_snapshot = merge_snapshots(
                 self._latency_snapshot, [dict(latency)]
             )
-        quality = data.get("quality")
-        if quality:
-            self._quality_summaries.append(dict(quality))
+        if outcome.quality:
+            self._quality_summaries.append(dict(outcome.quality))
 
     def drives_per_s(self, now_s: float) -> float:
         """Completions over the trailing window (run-age-clamped)."""

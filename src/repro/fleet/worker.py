@@ -3,9 +3,11 @@
 :func:`execute_spec` is the deterministic, reentrant unit of work the
 scheduler shards across processes.  It materialises the drive from plain
 data (:func:`repro.core.system.run_drive_spec`), digests the frame cores,
-extracts the monitor verdict and latency histogram, and folds everything
-into a picklable outcome dict.  A drive that raises is *contained*: the
-exception becomes a ``failed`` outcome, never a dead worker.
+extracts the monitor verdict, splits the telemetry snapshot's
+:data:`~repro.core.system.WALL_SERIES` off under the outcome's ``wall``
+key, and folds everything into a picklable outcome dict.  A drive that
+raises is *contained*: the exception becomes a ``failed`` outcome, never
+a dead worker.
 
 :func:`worker_main` is the process entry point: a loop pulling
 ``(index, spec_dict)`` tasks from a queue and pushing
@@ -32,6 +34,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.core.spec import DriveSpec, frames_digest
+from repro.core.system import WALL_SERIES
 from repro.fleet.outcome import DriveOutcome
 from repro.monitor.liveness import DEFAULT_HEARTBEAT_INTERVAL_S
 from repro.monitor.session import Monitor, MonitorConfig
@@ -213,7 +216,7 @@ def execute_spec(
             spec=spec.to_dict(),
             status="crashed",
             error="chaos: worker crash injected",
-            worker_id=worker_id,
+            wall={"worker_id": worker_id},
         )
     if spec.chaos in ("hang", "slow"):
         if not contained:
@@ -224,7 +227,7 @@ def execute_spec(
             spec=spec.to_dict(),
             status="timeout",
             error=f"chaos: worker {spec.chaos} injected",
-            worker_id=worker_id,
+            wall={"worker_id": worker_id},
         )
 
     telemetry = Telemetry.recording() if record_latency else None
@@ -262,13 +265,13 @@ def execute_spec(
             spec=spec.to_dict(),
             status="failed",
             error=f"{type(exc).__name__}: {exc}",
-            worker_id=worker_id,
+            wall={"worker_id": worker_id},
         )
-    latency = None
     metrics: list = []
+    wall_metrics: list = []
     if telemetry is not None and telemetry.enabled:
-        latency = telemetry.metrics.histogram("frame_wall_ms").to_dict()
-        metrics = telemetry.metrics.snapshot()
+        for series in telemetry.metrics.snapshot():
+            (wall_metrics if series["name"] in WALL_SERIES else metrics).append(series)
         if trace_path is not None:
             telemetry.meta.update(
                 {
@@ -290,9 +293,11 @@ def execute_spec(
         metrics=metrics,
         quality=observer.summary() if observer is not None else {},
         incidents=incidents,
-        latency_ms=latency,
-        wall_s=stopwatch.elapsed_s,
-        worker_id=worker_id,
+        wall={
+            "metrics": wall_metrics,
+            "wall_s": stopwatch.elapsed_s,
+            "worker_id": worker_id,
+        },
     )
 
 

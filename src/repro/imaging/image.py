@@ -25,12 +25,21 @@ def ensure_gray(image: np.ndarray, name: str = "image") -> np.ndarray:
 
 
 def ensure_rgb(image: np.ndarray, name: str = "image") -> np.ndarray:
-    """Validate an (H, W, 3) float image and return it as float64."""
+    """Validate an (H, W, 3) image and return it as float64 in [0, 1] units.
+
+    A uint8 frame (what a camera delivers) is scaled by 1/255; a float
+    frame passes through unscanned (float64 without a copy).  Any other
+    dtype is refused with an :class:`ImageError` naming it.
+    """
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ImageError(f"{name} must have shape (H, W, 3), got {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ImageError(f"{name} must be non-empty")
+    if arr.dtype == np.uint8:
+        return arr / 255.0
+    if arr.dtype.kind != "f":
+        raise ImageError(f"{name} must be a float or uint8 image, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
 
 

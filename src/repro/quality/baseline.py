@@ -17,9 +17,9 @@ the gate ratchets by re-writing the baseline.  A drive on one side only
 is *missing* or *new*: reported, not failing.
 
 The one wall-valued field (``suite_wall_s``, how long the suite took to
-score) is segregated under :data:`WALL_QUALITY_KEYS`, which the
-determinism-taint lint rule folds into its laundering list exactly like
-the fleet's ``WALL_*`` sets.
+score) sits under the snapshot's ``wall`` key, the one name every record
+in the repo keeps its wall data under and the determinism-taint lint
+rule launders.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ SCHEMA = ratchet.Schema(
     error=QualityError,
     create_hint="repro quality report --out QUALITY_BASELINE.json",
 )
-
-#: Snapshot keys carrying wall-clock values (stripped from every
-#: byte-compared artefact; laundering keys for the determinism-taint rule).
-WALL_QUALITY_KEYS = frozenset({"suite_wall_s"})
 
 #: Absolute recall/precision drop tolerated before a drive regresses.
 #: The suite is fully deterministic, so the floor only absorbs *intended*

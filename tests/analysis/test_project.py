@@ -8,12 +8,12 @@ from repro.analysis.project import ProjectContext, parse_module
 pytestmark = pytest.mark.analysis
 
 
-def build(*modules: tuple[str, str], strip: frozenset = frozenset()) -> ProjectContext:
+def build(*modules: tuple[str, str]) -> ProjectContext:
     parsed = [
         parse_module(source, module=name, path=f"{name.replace('.', '/')}.py")
         for name, source in modules
     ]
-    return ProjectContext(parsed, wall_strip_keys=strip)
+    return ProjectContext(parsed)
 
 
 class TestImportGraph:
@@ -172,9 +172,13 @@ class TestTaintFixpoint:
                 "repro.a",
                 "import time\n\ndef f():\n    return {'wall': time.time()}\n",
             ),
-            strip=frozenset({"wall"}),
+            (
+                "repro.b",
+                "import time\n\ndef g():\n    return {'latency_ms': time.time()}\n",
+            ),
         )
         assert "repro.a.f" not in project.wall_tainted_functions
+        assert "repro.b.g" in project.wall_tainted_functions
 
 
 class TestImportCycles:

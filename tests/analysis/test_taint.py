@@ -46,7 +46,7 @@ class TestDirectFlow:
         src = (
             "import os\n"
             "def f():\n"
-            "    return deterministic_outcome_dict(os.getenv('MODE'))\n"
+            "    return deterministic_view(os.getenv('MODE'))\n"
         )
         assert only(src) == [RULE]
 
@@ -145,7 +145,7 @@ class TestLaundering:
         src = (
             "import time\n"
             "def f():\n"
-            "    return deterministic_view({'latency_ms': time.time()})\n"
+            "    return deterministic_view({'wall': {'latency_ms': time.time()}})\n"
         )
         assert only(src) == []
 
@@ -169,26 +169,41 @@ class TestLaundering:
         src = (
             "import time\n"
             "def f(core):\n"
-            "    return deterministic_outcome_dict(core, wall_s=time.time())\n"
+            "    return deterministic_view(core, wall=time.time())\n"
         )
         assert only(src) == []
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "deterministic_view({'latency_ms': time.time()})",
+            "deterministic_view({'wall_s': time.time()})",
+            "deterministic_view({'elapsed_s': time.time()})",
+            "deterministic_view(core, wall_s=time.time())",
+        ],
+    )
+    def test_former_strip_names_now_fire(self, expr):
+        # Only the one wall key launders: a wall-sounding name at the top
+        # level of a record carries its taint into the sink.
+        src = f"import time\ndef f(core):\n    return {expr}\n"
+        assert only(src) == [RULE]
+
     def test_project_dataclass_constructor_is_clean(self):
-        # DriveOutcome segregates wall fields by contract; constructing one
-        # with a wall kwarg then viewing it deterministically is the
-        # sanctioned pattern.
+        # DriveOutcome keeps its wall data under the wall key by contract;
+        # constructing one with a wall kwarg then viewing it
+        # deterministically is the sanctioned pattern.
         assert multi(
             (
                 "repro.fleet.kinds",
-                "class Outcome:\n    def __init__(self, wall_s=None):\n"
-                "        self.wall_s = wall_s\n",
+                "class Outcome:\n    def __init__(self, wall=None):\n"
+                "        self.wall = wall\n",
             ),
             (
                 "repro.fleet.use",
                 "import time\n"
                 "from repro.fleet.kinds import Outcome\n"
                 "def f():\n"
-                "    o = Outcome(wall_s=time.time())\n"
+                "    o = Outcome(wall={'wall_s': time.time()})\n"
                 "    return deterministic_view(o)\n",
             ),
         ) == []

@@ -29,7 +29,7 @@ class TestRun:
         assert code == 0
         rollup = load_rollup(out)
         assert rollup["fleet"]["by_status"] == {"ok": 4}
-        assert rollup["config"]["workers"] == 2
+        assert rollup["wall"]["config"]["workers"] == 2
         stdout = capsys.readouterr().out
         assert "fleet rollup" in stdout
         assert str(out) in stdout
@@ -73,7 +73,7 @@ class TestRunLivePlane:
         document = json.loads(trace.read_text())
         assert document["traceEvents"]
         rollup = load_rollup(out)
-        assert rollup["events_by_kind"]["fleet.trace.stitch"] == 1
+        assert rollup["wall"]["events_by_kind"]["fleet.trace.stitch"] == 1
 
     def test_no_stream_disables_the_plane(self, tmp_path):
         out = tmp_path / "FLEET_quiet.json"
@@ -82,8 +82,8 @@ class TestRunLivePlane:
              "--no-stream", "--out", str(out)]
         ) == 0
         rollup = load_rollup(out)
-        assert "fleet.worker.heartbeat" not in rollup["events_by_kind"]
-        assert "fleet.status.snapshot" not in rollup["events_by_kind"]
+        assert "fleet.worker.heartbeat" not in rollup["wall"]["events_by_kind"]
+        assert "fleet.status.snapshot" not in rollup["wall"]["events_by_kind"]
 
 
 class TestTop:

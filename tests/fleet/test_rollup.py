@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FleetError
+from repro.fleet.cli import main as fleet_main
 from repro.fleet.outcome import DriveOutcome
 from repro.fleet.rollup import (
     FLEET_SCHEMA,
     FLEET_SCHEMA_VERSION,
-    WALL_ROLLUP_KEYS,
     build_rollup,
     deterministic_view,
     load_rollup,
@@ -52,26 +56,34 @@ def make_outcome(
         },
         metrics=[
             {"kind": "counter", "name": "drive_frames", "labels": {}, "value": frames},
-            {"kind": "counter", "name": "frame_deadline_misses_total", "labels": {}, "value": 1},
         ],
-        latency_ms={
-            "kind": "histogram",
-            "name": "frame_wall_ms",
-            "labels": {},
-            "bounds": [1.0, 100.0],
-            "bucket_counts": [0, frames, 0],
-            "count": frames,
-            "sum": wall_ms * frames,
-            "min": wall_ms,
-            "max": wall_ms,
+        wall={
+            "metrics": [
+                {
+                    "kind": "counter",
+                    "name": "frame_deadline_misses_total",
+                    "labels": {},
+                    "value": 1,
+                },
+                {
+                    "kind": "histogram",
+                    "name": "frame_wall_ms",
+                    "labels": {},
+                    "bounds": [1.0, 100.0],
+                    "bucket_counts": [0, frames, 0],
+                    "count": frames,
+                    "sum": wall_ms * frames,
+                    "min": wall_ms,
+                    "max": wall_ms,
+                },
+            ],
+            "wall_s": 0.5,
+            "worker_id": 0,
         },
-        wall_s=0.5,
-        worker_id=0,
     )
 
 
-@pytest.fixture()
-def rollup() -> dict:
+def make_rollup() -> dict:
     return build_rollup(
         [
             make_outcome("a", violations=2),
@@ -82,6 +94,20 @@ def rollup() -> dict:
         events_by_kind={"fleet.submit": 3, "fleet.reject": 1},
         elapsed_s=2.0,
     )
+
+
+@pytest.fixture()
+def rollup() -> dict:
+    return make_rollup()
+
+
+#: Arbitrary JSON-shaped values to write under a ``wall`` key.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
 
 
 class TestBuildRollup:
@@ -110,17 +136,24 @@ class TestBuildRollup:
         assert health["breach_rate"] == pytest.approx(0.5)
 
     def test_latency_histograms_merge(self, rollup):
-        assert rollup["latency_ms"]["count"] == 100
-        assert rollup["latency_ms"]["percentiles"]["p50"] == pytest.approx(10.0, abs=5.0)
+        latency = rollup["wall"]["latency_ms"]
+        assert latency["count"] == 100
+        assert latency["percentiles"]["p50"] == pytest.approx(10.0, abs=5.0)
 
     def test_metrics_merge_and_stay_deterministic(self, rollup):
         names = {s["name"] for s in rollup["metrics"]}
-        assert names == {"drive_frames"}  # wall-derived series filtered out
+        assert names == {"drive_frames"}  # wall series stay under each outcome's wall
         assert rollup["metrics"][0]["value"] == 100
 
     def test_wall_section(self, rollup):
-        assert rollup["wall"]["elapsed_s"] == 2.0
-        assert rollup["wall"]["drives_per_s"] == pytest.approx(1.5)
+        wall = rollup["wall"]
+        assert wall["elapsed_s"] == 2.0
+        assert wall["drives_per_s"] == pytest.approx(1.5)
+        assert wall["drive_wall_s"] == pytest.approx(1.0)
+        assert wall["events_by_kind"] == {"fleet.submit": 3, "fleet.reject": 1}
+        assert wall["config"] == {}
+        for key in ("latency_ms", "config", "events_by_kind"):
+            assert key not in rollup
 
     def test_rejected_list_must_carry_rejected_statuses(self):
         with pytest.raises(FleetError, match="rejected"):
@@ -130,12 +163,25 @@ class TestBuildRollup:
 class TestDeterministicView:
     def test_wall_and_scheduling_keys_are_stripped(self, rollup):
         view = deterministic_view(rollup)
-        for key in WALL_ROLLUP_KEYS + ("config", "events_by_kind"):
-            assert key not in view
+        assert "wall" not in view
+        assert "quality" not in view
+        assert len(view["outcomes"]) == len(rollup["outcomes"])
         for outcome in view["outcomes"]:
-            assert "wall_s" not in outcome
-            assert "worker_id" not in outcome
-            assert "latency_ms" not in outcome
+            assert "wall" not in outcome
+            assert "quality" not in outcome
+
+    @settings(max_examples=50, deadline=None)
+    @given(rollup_wall=json_values, outcome_wall=json_values, index=st.integers(0, 3))
+    def test_wall_contents_never_change_the_view(self, rollup_wall, outcome_wall, index):
+        rollup = make_rollup()
+        before = json.dumps(deterministic_view(rollup), sort_keys=True)
+        rollup["wall"] = rollup_wall
+        rollup["outcomes"][index]["wall"] = outcome_wall
+        assert json.dumps(deterministic_view(rollup), sort_keys=True) == before
+        outcome = rollup["outcomes"][index]
+        assert deterministic_view(outcome) == deterministic_view(
+            {**outcome, "wall": {"metrics": [], "wall_s": 1.0}}
+        )
 
     def test_deterministic_sections_survive(self, rollup):
         view = deterministic_view(rollup)
@@ -169,9 +215,27 @@ class TestValidation:
             validate_rollup(rollup)
 
     def test_unknown_event_kind_rejected(self, rollup):
-        rollup["events_by_kind"]["fleet.party"] = 1
+        rollup["wall"]["events_by_kind"]["fleet.party"] = 1
         with pytest.raises(FleetError, match="event kind"):
             validate_rollup(rollup)
+
+    def test_v2_rollup_with_top_level_latency_rejected(self, rollup, tmp_path, capsys):
+        # The v2 layout kept latency_ms, config and events_by_kind at the
+        # top level; a v3 reader refuses it on the version, before shape.
+        v2 = {key: value for key, value in rollup.items() if key != "wall"}
+        v2.update(
+            schema_version=2,
+            latency_ms=rollup["wall"]["latency_ms"],
+            config={},
+            events_by_kind={},
+            wall={"elapsed_s": 2.0, "drives_per_s": 1.5},
+        )
+        with pytest.raises(FleetError, match="schema_version 2; this build reads version 3"):
+            validate_rollup(v2)
+        path = tmp_path / "FLEET_v2.json"
+        path.write_text(json.dumps(v2))
+        assert fleet_main(["report", str(path)]) == 2
+        assert "schema_version 2" in capsys.readouterr().err
 
 
 class TestArtefacts:

@@ -14,7 +14,6 @@ from repro.fleet.outcome import DriveOutcome
 from repro.fleet.status import (
     STATUS_SCHEMA,
     STATUS_SCHEMA_VERSION,
-    WALL_STATUS_KEYS,
     WORKER_STATES,
     StatusBoard,
     render_status,
@@ -64,16 +63,20 @@ def ok_outcome(name: str = "d") -> DriveOutcome:
         spec={"name": name},
         status="ok",
         summary={"frames": 50},
-        latency_ms={
-            "kind": "histogram",
-            "name": "frame_wall_ms",
-            "labels": {},
-            "bounds": [1.0, 5.0],
-            "bucket_counts": [10, 30, 10],
-            "count": 50,
-            "sum": 120.0,
-            "min": 0.4,
-            "max": 9.0,
+        wall={
+            "metrics": [
+                {
+                    "kind": "histogram",
+                    "name": "frame_wall_ms",
+                    "labels": {},
+                    "bounds": [1.0, 5.0],
+                    "bucket_counts": [10, 30, 10],
+                    "count": 50,
+                    "sum": 120.0,
+                    "min": 0.4,
+                    "max": 9.0,
+                }
+            ]
         },
     )
 
@@ -239,15 +242,3 @@ class TestMetricsExposition:
         with pytest.raises(FleetError):
             status_metrics_snapshot({"schema": "nope"})
 
-
-class TestWallSegregation:
-    def test_wall_status_keys_cover_the_plane_fields(self):
-        # The taint rule launders exactly these names; the snapshot's
-        # wall-valued fields must all be declared.
-        for key in ("elapsed_s", "drives_per_s", "heartbeat_age_s", "drive_age_s"):
-            assert key in WALL_STATUS_KEYS
-
-    def test_lint_config_launders_status_keys(self):
-        from repro.analysis.config import LintConfig
-
-        assert WALL_STATUS_KEYS <= LintConfig().wall_strip_keys

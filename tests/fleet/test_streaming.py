@@ -80,11 +80,11 @@ class TestNonPerturbation:
         assert snapshots[-1]["phase"] == "done"
         assert snapshots[-1]["drives"]["done"] == 64
         assert metrics_path.read_text().rstrip().endswith("# EOF")
-        assert on["events_by_kind"]["fleet.worker.heartbeat"] > 0
-        assert on["events_by_kind"]["fleet.drive.progress"] == 2 * 64
+        assert on["wall"]["events_by_kind"]["fleet.worker.heartbeat"] > 0
+        assert on["wall"]["events_by_kind"]["fleet.drive.progress"] == 2 * 64
         # The off/inline runs carry no side-channel event kinds at all.
-        assert "fleet.worker.heartbeat" not in off["events_by_kind"]
-        assert "fleet.worker.heartbeat" not in inline["events_by_kind"]
+        assert "fleet.worker.heartbeat" not in off["wall"]["events_by_kind"]
+        assert "fleet.worker.heartbeat" not in inline["wall"]["events_by_kind"]
 
 
 class TestHangVerdicts:
@@ -97,9 +97,9 @@ class TestHangVerdicts:
         scheduler.submit_all(specs)
         outcomes = scheduler.run()
         assert outcomes[1].status == "timeout"
-        assert outcomes[1].hang_verdict == "hung"
-        assert outcomes[1].last_heartbeat_age_s is not None
-        assert outcomes[1].last_heartbeat_age_s >= 0.6
+        assert outcomes[1].wall["hang_verdict"] == "hung"
+        assert outcomes[1].wall["last_heartbeat_age_s"] is not None
+        assert outcomes[1].wall["last_heartbeat_age_s"] >= 0.6
         assert [o.status for o in outcomes].count("ok") == 3
         # The suspect early warning fired before the deadline did.
         assert scheduler.events_by_kind.get("fleet.worker.suspect", 0) >= 1
@@ -121,9 +121,9 @@ class TestHangVerdicts:
         scheduler.submit_all(specs)
         outcomes = scheduler.run()
         assert outcomes[2].status == "timeout"
-        assert outcomes[2].hang_verdict == "deadline"
-        assert outcomes[2].last_heartbeat_age_s is not None
-        assert outcomes[2].last_heartbeat_age_s < 0.6
+        assert outcomes[2].wall["hang_verdict"] == "deadline"
+        assert outcomes[2].wall["last_heartbeat_age_s"] is not None
+        assert outcomes[2].wall["last_heartbeat_age_s"] < 0.6
         assert [o.status for o in outcomes].count("ok") == 3
 
     def test_verdicts_reach_the_rollup_wall_section(self):
@@ -133,11 +133,12 @@ class TestHangVerdicts:
         rollup = run_fleet(specs, chaos_config())
         validate_rollup(rollup)
         assert rollup["wall"]["timeouts_by_verdict"] == {"hung": 1, "deadline": 1}
-        # ... and the verdict fields are wall territory: stripped from the
-        # deterministic view's outcomes.
+        # ... and the verdict fields are wall territory: they ride under
+        # each outcome's wall key, which the deterministic view drops.
+        timeouts = [o for o in rollup["outcomes"] if o["status"] == "timeout"]
+        assert all("hang_verdict" in o["wall"] for o in timeouts)
         for outcome in deterministic_view(rollup)["outcomes"]:
-            assert "hang_verdict" not in outcome
-            assert "last_heartbeat_age_s" not in outcome
+            assert "wall" not in outcome
 
     def test_streaming_off_timeouts_have_no_verdict(self):
         specs = list(sweep_specs(3, fleet_seed=9, duration_s=1.0))
@@ -145,8 +146,8 @@ class TestHangVerdicts:
         rollup = run_fleet(specs, chaos_config(streaming=False))
         assert rollup["wall"]["timeouts_by_verdict"] == {"unknown": 1}
         (timeout,) = [o for o in rollup["outcomes"] if o["status"] == "timeout"]
-        assert timeout["hang_verdict"] is None
-        assert timeout["last_heartbeat_age_s"] is None
+        assert timeout["wall"]["hang_verdict"] is None
+        assert timeout["wall"]["last_heartbeat_age_s"] is None
 
     def test_hang_verdict_vocabulary_is_validated(self):
         from repro.errors import FleetError
@@ -154,7 +155,7 @@ class TestHangVerdicts:
 
         assert set(HANG_VERDICTS) == {"hung", "deadline"}
         with pytest.raises(FleetError, match="hang_verdict"):
-            DriveOutcome(spec={"name": "x"}, status="timeout", hang_verdict="wedged")
+            DriveOutcome(spec={"name": "x"}, status="timeout", wall={"hang_verdict": "wedged"})
 
 
 class TestStatusListeners:

@@ -7,14 +7,10 @@ import queue
 import pytest
 
 from repro.core.spec import DriveSpec
+from repro.core.system import WALL_SERIES
 from repro.errors import FleetError
-from repro.fleet.outcome import (
-    WALL_METRIC_NAMES,
-    WALL_OUTCOME_FIELDS,
-    DriveOutcome,
-    deterministic_metrics,
-    deterministic_outcome_dict,
-)
+from repro.fleet.outcome import DriveOutcome
+from repro.fleet.rollup import deterministic_view
 from repro.fleet.worker import TASK_POLL_TIMEOUT_S, execute_spec, worker_main
 
 pytestmark = pytest.mark.fleet
@@ -37,9 +33,9 @@ class TestExecuteSpec:
 
     def test_verdict_and_latency_present_when_observed(self, ok_outcome):
         assert ok_outcome.verdict["state"] in ("ok", "degraded", "critical")
-        assert ok_outcome.latency_ms["count"] == 100
+        assert ok_outcome.frame_latency["count"] == 100
         assert any(s["name"] == "drive_frames" for s in ok_outcome.metrics)
-        assert ok_outcome.wall_s > 0
+        assert ok_outcome.wall["wall_s"] > 0
 
     def test_accepts_spec_dicts(self, ok_outcome):
         spec = DriveSpec(name="unit", duration_s=2.0, seed=4)
@@ -52,7 +48,7 @@ class TestExecuteSpec:
         )
         assert outcome.ok
         assert outcome.verdict == {}
-        assert outcome.latency_ms is None
+        assert outcome.frame_latency is None
         assert outcome.metrics == []
 
     def test_observation_never_changes_the_digest(self):
@@ -145,7 +141,7 @@ class TestWorkerLoop:
         assert index == 7
         outcome = DriveOutcome.from_dict(outcome_dict)
         assert outcome.ok
-        assert outcome.worker_id == 2
+        assert outcome.wall["worker_id"] == 2
 
 
 class TestOutcomeWire:
@@ -163,13 +159,17 @@ class TestOutcomeWire:
             DriveOutcome(spec={}, status="winning")
 
     def test_deterministic_dict_strips_wall_fields(self, ok_outcome):
-        data = deterministic_outcome_dict(ok_outcome)
-        for field in WALL_OUTCOME_FIELDS:
-            assert field not in data
+        data = deterministic_view(ok_outcome.to_dict())
+        assert "wall" not in data
+        assert set(data) == set(ok_outcome.to_dict()) - {"wall", "quality"}
         names = {s["name"] for s in data["metrics"]}
-        assert not names & WALL_METRIC_NAMES
+        assert not names & WALL_SERIES
         assert "drive_frames" in names
 
-    def test_deterministic_metrics_filter(self):
-        series = [{"name": "frame_wall_ms"}, {"name": "drive_frames"}]
-        assert deterministic_metrics(series) == [{"name": "drive_frames"}]
+    def test_worker_splits_wall_series_off_the_metrics(self, ok_outcome):
+        # The worker splits the snapshot once: every WALL_SERIES series
+        # rides under wall, every other series stays in metrics.
+        wall_names = {s["name"] for s in ok_outcome.wall["metrics"]}
+        assert wall_names <= WALL_SERIES
+        assert "frame_wall_ms" in wall_names
+        assert not {s["name"] for s in ok_outcome.metrics} & WALL_SERIES

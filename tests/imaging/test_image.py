@@ -37,6 +37,10 @@ class TestValidation:
         with pytest.raises(ImageError):
             ensure_rgb(np.zeros((2, 2, 4)))
 
+    def test_ensure_rgb_passes_float64_through_uncopied(self):
+        frame = np.zeros((2, 2, 3))
+        assert ensure_rgb(frame) is frame
+
     def test_ensure_binary_accepts_bool_and_01(self):
         assert ensure_binary(np.array([[True, False]])).dtype == bool
         assert ensure_binary(np.array([[0, 1], [1, 0]])).dtype == bool

@@ -13,19 +13,24 @@ import json
 import pytest
 
 from repro.core.spec import DriveSpec, frames_digest
-from repro.core.system import run_drive_spec
-from repro.fleet.outcome import (
-    QUALITY_METRIC_NAMES,
-    DriveOutcome,
-    deterministic_metrics,
-    deterministic_outcome_dict,
-)
+from repro.core.system import WALL_SERIES, run_drive_spec
+from repro.fleet.outcome import DriveOutcome
 from repro.fleet.rollup import deterministic_view, validate_rollup
 from repro.fleet.scheduler import FleetConfig, run_fleet
 from repro.fleet.specs import sweep_specs
 from repro.fleet.status import StatusBoard, render_status, status_metrics_snapshot
+from repro.fleet.worker import execute_spec
 from repro.quality.observer import ModelQualityObserver
 from repro.telemetry import Telemetry
+
+#: The series only the quality plane records.
+QUALITY_SERIES = {
+    "quality_frames_scored_total",
+    "quality_tp_total",
+    "quality_fp_total",
+    "quality_fn_total",
+    "detection_iou",
+}
 
 pytestmark = [pytest.mark.quality, pytest.mark.fleet]
 
@@ -50,13 +55,12 @@ class TestDriveLevel:
             spec, telemetry=telemetry, quality=ModelQualityObserver.for_spec(spec)
         )
         names = {series["name"] for series in telemetry.metrics.snapshot()}
-        assert "quality_frames_scored_total" in names
-        assert "detection_iou" in names
-        kept = {
-            series["name"]
-            for series in deterministic_metrics(telemetry.metrics.snapshot())
-        }
-        assert not (kept & QUALITY_METRIC_NAMES)
+        assert QUALITY_SERIES <= names
+        assert QUALITY_SERIES <= WALL_SERIES
+        # A fleet worker files them under wall, off the byte-compared metrics.
+        outcome = execute_spec(spec, monitored=False, quality=True)
+        assert QUALITY_SERIES <= {s["name"] for s in outcome.wall["metrics"]}
+        assert not QUALITY_SERIES & {s["name"] for s in outcome.metrics}
 
 
 class TestFleetLevel:
@@ -95,7 +99,7 @@ class TestFleetLevel:
         _, inline_on, _ = runs
         for outcome in inline_on["outcomes"]:
             assert outcome["quality"]["sampled_frames"] > 0
-            stripped = deterministic_outcome_dict(outcome)
+            stripped = deterministic_view(outcome)
             assert "quality" not in stripped
 
 
