@@ -7,7 +7,6 @@ resampling, connected components, integral images, geometry, and drawing.
 
 from repro.imaging.color import (
     luminance,
-    redness,
     rgb_to_ycbcr,
     split_channels,
 )
@@ -54,7 +53,6 @@ from repro.imaging.morphology import (
     square_element,
 )
 from repro.imaging.resize import (
-    downsample_area,
     downsample_binary,
     pyramid_scales,
     resize_bilinear,
@@ -85,7 +83,6 @@ __all__ = [
     "convolve_separable",
     "crop",
     "dilate",
-    "downsample_area",
     "downsample_binary",
     "draw_box",
     "ensure_binary",
@@ -111,7 +108,6 @@ __all__ = [
     "pad_replicate",
     "pyramid_scales",
     "rect_element",
-    "redness",
     "resize_bilinear",
     "resize_rgb_bilinear",
     "rgb_to_ycbcr",

@@ -7,6 +7,12 @@ HDTV camera front-ends commonly deliver.
 
 All conversions operate on float images in [0, 1].  Cb and Cr are centered:
 they are returned in [-0.5, 0.5] so that "red" is simply a positive Cr.
+
+:func:`split_channels` is the one place the YCbCr maths lives.  It streams
+the frame through in row bands of :data:`BAND_ROWS` rows, writing Y, Cb and
+Cr straight into three contiguous planes, so a 1080p frame's working set
+stays in cache and no interleaved (H, W, 3) result is built and re-sliced.
+:func:`rgb_to_ycbcr` stacks those planes.
 """
 
 from __future__ import annotations
@@ -19,6 +25,12 @@ from repro.imaging.image import ensure_rgb
 _KR = 0.299
 _KG = 0.587
 _KB = 0.114
+# Chroma denominators: Cb = (B - Y) / (2 (1 - KB)), Cr = (R - Y) / (2 (1 - KR)).
+_CB_SCALE = 2.0 * (1.0 - _KB)
+_CR_SCALE = 2.0 * (1.0 - _KR)
+
+#: Rows per band of the split; a 1920-wide band of 16 rows is 0.25 MB a plane.
+BAND_ROWS = 16
 
 
 def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
@@ -27,14 +39,7 @@ def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     Returns:
         (H, W, 3) array with Y in [0, 1] and Cb, Cr in [-0.5, 0.5].
     """
-    arr = ensure_rgb(rgb, "rgb")
-    r = arr[..., 0]
-    g = arr[..., 1]
-    b = arr[..., 2]
-    y = _KR * r + _KG * g + _KB * b
-    cb = (b - y) / (2.0 * (1.0 - _KB))
-    cr = (r - y) / (2.0 * (1.0 - _KR))
-    return np.stack([y, cb, cr], axis=-1)
+    return np.stack(split_channels(rgb), axis=-1)
 
 
 def luminance(rgb: np.ndarray) -> np.ndarray:
@@ -51,14 +56,26 @@ def luminance(rgb: np.ndarray) -> np.ndarray:
 def split_channels(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The paper's "Split Chroma & Luminance" stage (Fig. 4).
 
+    Each band of :data:`BAND_ROWS` rows computes ``Y = (KR*r + KG*g) + KB*b``
+    then ``Cb = (b - Y) / (2 (1 - KB))`` and ``Cr = (r - Y) / (2 (1 - KR))``
+    into its slice of the output planes, in that float operation order.
+
     Returns:
-        (y, cb, cr) planes; Y in [0, 1], Cb/Cr in [-0.5, 0.5].
+        (y, cb, cr) contiguous planes; Y in [0, 1], Cb/Cr in [-0.5, 0.5].
     """
-    ycbcr = rgb_to_ycbcr(rgb)
-    return ycbcr[..., 0], ycbcr[..., 1], ycbcr[..., 2]
-
-
-def redness(rgb: np.ndarray) -> np.ndarray:
-    """Cr chroma plane; large positive values indicate red light sources."""
-    _, _, cr = split_channels(rgb)
-    return cr
+    arr = ensure_rgb(rgb, "rgb")
+    height, width = arr.shape[:2]
+    y = np.empty((height, width))
+    cb = np.empty((height, width))
+    cr = np.empty((height, width))
+    terms = np.empty((min(BAND_ROWS, height), width))
+    for top in range(0, height, BAND_ROWS):
+        rows = slice(top, top + BAND_ROWS)
+        r, g, b = arr[rows, :, 0], arr[rows, :, 1], arr[rows, :, 2]
+        y_band, term = y[rows], terms[: r.shape[0]]
+        np.multiply(r, _KR, out=y_band)
+        y_band += np.multiply(g, _KG, out=term)
+        y_band += np.multiply(b, _KB, out=term)
+        np.divide(np.subtract(b, y_band, out=cb[rows]), _CB_SCALE, out=cb[rows])
+        np.divide(np.subtract(r, y_band, out=cr[rows]), _CR_SCALE, out=cr[rows])
+    return y, cb, cr

@@ -14,6 +14,9 @@ import numpy as np
 from repro.errors import ImageError
 from repro.imaging.image import ensure_gray
 
+# Values per block of the direct-index histogram (0.5 MB of float64).
+_BLOCK = 65536
+
 
 def binary_threshold(image: np.ndarray, threshold: float, above: bool = True) -> np.ndarray:
     """Fixed-threshold binarisation.
@@ -31,12 +34,37 @@ def binary_threshold(image: np.ndarray, threshold: float, above: bool = True) ->
 
 
 def histogram(image: np.ndarray, bins: int = 256, value_range: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
-    """Intensity histogram with ``bins`` equal-width bins over ``value_range``."""
+    """Intensity histogram with ``bins`` equal-width bins over ``value_range``.
+
+    Counts equal ``np.histogram``'s: values outside the range and NaN are
+    dropped, and the range's upper end falls in the last bin.  Over (0, 1)
+    with a power-of-two bin count every edge ``k / bins`` is exact, so a
+    value's bin is ``floor(bins * v)`` and the counts come from one
+    ``np.bincount`` per block; other ranges and bin counts use
+    ``np.histogram`` itself.
+    """
     if bins < 2:
         raise ImageError(f"need at least 2 bins, got {bins}")
     arr = ensure_gray(image)
-    counts, _ = np.histogram(arr, bins=bins, range=value_range)
-    return counts.astype(np.int64)
+    exact = isinstance(bins, (int, np.integer)) and bins & (bins - 1) == 0
+    if not exact or tuple(value_range) != (0.0, 1.0):
+        counts, _ = np.histogram(arr, bins=bins, range=value_range)
+        return counts.astype(np.int64)
+    flat = arr.ravel()
+    # One extra bin catches v == 1.0 (floor(bins * 1.0) == bins).
+    counts = np.zeros(bins + 1, dtype=np.int64)
+    scaled = np.empty(min(_BLOCK, flat.size))
+    index = np.empty(scaled.size, dtype=np.intp)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        if not (block.min() >= 0.0 and block.max() <= 1.0):  # NaN fails both
+            block = block[(block >= 0.0) & (block <= 1.0)]
+        n = block.size
+        np.multiply(block, bins, out=scaled[:n])
+        np.copyto(index[:n], scaled[:n], casting="unsafe")
+        counts += np.bincount(index[:n], minlength=bins + 1)
+    counts[bins - 1] += counts[bins]
+    return counts[:bins]
 
 
 def otsu_threshold(image: np.ndarray, bins: int = 256, value_range: tuple[float, float] = (0.0, 1.0)) -> float:

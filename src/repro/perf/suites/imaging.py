@@ -1,20 +1,23 @@
-"""Imaging hot paths: resize, morphology, integral images, NMS.
+"""Imaging hot paths: resize, morphology, integral images, NMS, dark preprocess.
 
-The dark pipeline spends its pre-DBN time here (threshold -> decimate ->
-close), every pyramid level of the day/dusk path goes through the
-bilinear resize, and every day/dusk frame ends in one NMS over the
-candidate boxes of all its pyramid levels.
+The dark pipeline spends its pre-DBN time here (split -> threshold ->
+decimate -> close, timed end to end on a 1080p frame), every pyramid
+level of the day/dusk path goes through the bilinear resize, and every
+day/dusk frame ends in one NMS over the candidate boxes of all its
+pyramid levels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.datasets.synthetic import make_iroads_like
 from repro.imaging.geometry import nms_boxes
 from repro.imaging.integral import integral_image
 from repro.imaging.morphology import closing, square_element
 from repro.imaging.resize import resize_bilinear
 from repro.perf.registry import BenchContext, bench
+from repro.pipelines.dark import DarkVehicleDetector
 
 
 @bench("resize_bilinear_ms", group="imaging", summary="bilinear frame resize")
@@ -71,5 +74,22 @@ def nms_bench(ctx: BenchContext):
 
     def run():
         return nms_boxes(boxes, scores, 0.3)
+
+    return run
+
+
+@bench("dark_preprocess_ms", group="imaging", summary="dark preprocess of one 1080p frame")
+def dark_preprocess_bench(ctx: BenchContext):
+    # Split, Otsu and fixed thresholds, 3x decimation and closing: stages
+    # 1-4 of the dark pipeline, which need no trained model.
+    height, width = (360, 640) if ctx.smoke else (1080, 1920)
+    seed = int(ctx.rng.integers(2**31))
+    frame = make_iroads_like(n_frames=1, height=height, width=width, seed=seed).frames[0].rgb
+    ctx.digest(frame)
+    detector = DarkVehicleDetector()
+    ctx.note("lit_pixels", int(detector.preprocess(frame).sum()))
+
+    def run():
+        return detector.preprocess(frame)
 
     return run

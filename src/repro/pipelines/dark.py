@@ -2,12 +2,15 @@
 
 The full pipeline, stage for stage:
 
-1. *Split channels* — RGB -> Y / Cb / Cr (BT.601).
+1. *Split channels* — RGB -> Y / Cb / Cr (BT.601), streamed through the
+   frame in row bands straight into three contiguous planes (see
+   :func:`repro.imaging.color.split_channels`).
 2. *Threshold* — luminance threshold (light sources) AND chrominance
    threshold (red sources), merged into one binary mask.  "Instead of
    relying only on the luminance information, we consider both the
    chrominance and luminance channels during the threshold stage."
-3. *Downsample* — 3x area decimation (1920x1080 -> 640x360 in the paper).
+3. *Downsample* — 3x binary decimation by set-pixel count per tile
+   (1920x1080 -> 640x360 in the paper).
 4. *Closing* — dilate + erode, removing threshold noise and smoothing
    contours.
 5. *Sliding DBN* — the 81-20-8-4 network over 9x9 windows with stride 2,
@@ -46,6 +49,33 @@ from repro.pipelines.taillight import (
 
 DBN_WINDOW = 9
 DBN_STRIDE = 2
+
+
+def window_occupancy(mask: np.ndarray) -> np.ndarray:
+    """Which DBN windows hold a nonzero pixel, without copying any window.
+
+    A separable OR: over ``DBN_WINDOW`` rows sampled every ``DBN_STRIDE``
+    rows, then over ``DBN_WINDOW`` columns sampled every ``DBN_STRIDE``
+    columns.
+
+    Returns:
+        (ny, nx) bool grid, True where the window over mask pixels
+        [2i, 2i+9) x [2j, 2j+9) holds a nonzero (or NaN) value; (0, 0)
+        when the mask is smaller than one window.
+    """
+    lit = np.asarray(mask) != 0
+    height, width = lit.shape
+    if height < DBN_WINDOW or width < DBN_WINDOW:
+        return np.zeros((0, 0), dtype=bool)
+    span_y = DBN_STRIDE * ((height - DBN_WINDOW) // DBN_STRIDE) + 1
+    span_x = DBN_STRIDE * ((width - DBN_WINDOW) // DBN_STRIDE) + 1
+    rows = lit[0:span_y:DBN_STRIDE].copy()
+    for k in range(1, DBN_WINDOW):
+        rows |= lit[k : k + span_y : DBN_STRIDE]
+    occupancy = rows[:, 0:span_x:DBN_STRIDE].copy()
+    for k in range(1, DBN_WINDOW):
+        occupancy |= rows[:, k : k + span_x : DBN_STRIDE]
+    return occupancy
 
 
 @dataclass(frozen=True)
@@ -194,6 +224,10 @@ class DarkVehicleDetector:
     def dbn_grid(self, mask: np.ndarray) -> np.ndarray:
         """Stage 5: sliding 9x9 / stride-2 DBN over the processed mask.
 
+        Only windows holding a lit pixel can be taillights, so occupancy
+        comes first (:func:`window_occupancy`); just the occupied windows
+        are gathered and classified, and the rest stay 0.
+
         Returns:
             (ny, nx) int grid of DBN classes (0 = background) where cell
             (i, j) covers mask pixels [2i, 2i+9) x [2j, 2j+9).
@@ -204,33 +238,38 @@ class DarkVehicleDetector:
             raise PipelineError(f"mask must be 2-D, got shape {src.shape}")
         if src.shape[0] < DBN_WINDOW or src.shape[1] < DBN_WINDOW:
             return np.zeros((0, 0), dtype=np.int64)
+        if not self.config.batched:
+            return self._dbn_grid_reference(src)
+        occupancy = window_occupancy(src)
+        ny, nx = occupancy.shape
+        occupied = np.flatnonzero(occupancy)
+        view = np.lib.stride_tricks.sliding_window_view(src, (DBN_WINDOW, DBN_WINDOW))
+        view = view[::DBN_STRIDE, ::DBN_STRIDE]
+        grid = np.zeros(ny * nx, dtype=np.int64)
+        for start in range(0, occupied.size, self.config.dbn_batch):
+            idx = occupied[start : start + self.config.dbn_batch]
+            windows = view[idx // nx, idx % nx]
+            grid[idx] = self.dbn.predict_batch(windows.reshape(idx.size, -1))
+        return grid.reshape(ny, nx)
+
+    def _dbn_grid_reference(self, src: np.ndarray) -> np.ndarray:
+        """One-window-at-a-time DBN scan over a full copy of every window.
+
+        The ground truth the equivalence suite pins ``dbn_grid`` against.
+        It finds occupied windows its own way, by ``any`` over each copied
+        window, so the batched path's separable OR is checked too.  The
+        whole stack runs through batch-size-invariant kernels, so a window
+        classified alone equals the same window classified inside any
+        chunk, bit for bit.
+        """
         view = np.lib.stride_tricks.sliding_window_view(src, (DBN_WINDOW, DBN_WINDOW))
         view = view[::DBN_STRIDE, ::DBN_STRIDE]
         ny, nx = view.shape[:2]
         flat = view.reshape(ny * nx, DBN_WINDOW * DBN_WINDOW)
         grid = np.zeros(ny * nx, dtype=np.int64)
-        # Only windows with any lit pixel can be taillights; the rest stay 0.
-        occupied = np.flatnonzero(flat.any(axis=1))
-        if not self.config.batched:
-            self._dbn_grid_reference(flat, occupied, grid)
-            return grid.reshape(ny, nx)
-        for start in range(0, occupied.size, self.config.dbn_batch):
-            idx = occupied[start : start + self.config.dbn_batch]
-            grid[idx] = self.dbn.predict_batch(flat[idx])
-        return grid.reshape(ny, nx)
-
-    def _dbn_grid_reference(
-        self, flat: np.ndarray, occupied: np.ndarray, grid: np.ndarray
-    ) -> None:
-        """One-window-at-a-time DBN scan, filled into ``grid`` in place.
-
-        The ground truth the equivalence suite pins ``dbn_grid`` against:
-        the whole stack runs through batch-size-invariant kernels, so a
-        window classified alone equals the same window classified inside
-        any chunk, bit for bit.
-        """
-        for i in occupied:
+        for i in np.flatnonzero(flat.any(axis=1)):
             grid[i] = int(self.dbn.predict(flat[i])[0])
+        return grid.reshape(ny, nx)
 
     def extract_candidates(self, class_grid: np.ndarray) -> list[TaillightCandidate]:
         """Cluster DBN hits into taillight candidates.

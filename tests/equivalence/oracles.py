@@ -1,9 +1,11 @@
-"""Straightforward implementations the fast day/dusk paths must match.
+"""Straightforward implementations the fast day/dusk and dark paths must match.
 
 Each function is the plain version of a kernel in ``src/``: a greedy NMS
 loop over ``Rect`` objects, a float ``np.mod`` orientation fold, ``%``-based
-orientation binning, an ``np.pad`` central difference, and an ``np.ix_``
-bilinear resize.  They exist only for the byte-identity properties in
+orientation binning, an ``np.pad`` central difference, an ``np.ix_``
+bilinear resize, ``np.histogram`` counts, an ``np.stack`` YCbCr split, a
+float tile-mean binary decimation, and DBN window occupancy from a full
+copy of every window.  They exist only for the byte-identity properties in
 ``test_oracles.py``; nothing in ``src/`` imports them.
 """
 
@@ -101,3 +103,38 @@ def luminance(rgb: np.ndarray) -> np.ndarray:
     """BT.601 luma as one expression."""
     arr = np.asarray(rgb, dtype=np.float64)
     return 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
+
+
+def histogram(image: np.ndarray, bins: int, value_range: tuple[float, float]) -> np.ndarray:
+    """``np.histogram`` counts as int64."""
+    counts, _ = np.histogram(np.asarray(image, dtype=np.float64), bins=bins, range=value_range)
+    return counts.astype(np.int64)
+
+
+def split_channels(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BT.601 YCbCr stacked into one (H, W, 3) array, returned as channel views."""
+    arr = np.asarray(rgb, dtype=np.float64)
+    r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
+    y = 0.299 * r + 0.587 * g + 0.114 * b
+    cb = (b - y) / (2.0 * (1.0 - 0.114))
+    cr = (r - y) / (2.0 * (1.0 - 0.299))
+    ycbcr = np.stack([y, cb, cr], axis=-1)
+    return ycbcr[..., 0], ycbcr[..., 1], ycbcr[..., 2]
+
+
+def downsample_binary(mask: np.ndarray, factor: int, vote: float) -> np.ndarray:
+    """Float64 mean of each ``factor`` x ``factor`` tile, kept where ``>= vote``."""
+    arr = np.asarray(mask).astype(np.float64)
+    height, width = arr.shape
+    tiles = arr.reshape(height // factor, factor, width // factor, factor)
+    return tiles.mean(axis=(1, 3)) >= vote
+
+
+def window_occupancy(mask: np.ndarray, window: int = 9, stride: int = 2) -> np.ndarray:
+    """``any`` over a flat copy of every ``window`` x ``window`` window at ``stride``."""
+    arr = np.asarray(mask, dtype=np.float64)
+    if arr.shape[0] < window or arr.shape[1] < window:
+        return np.zeros((0, 0), dtype=bool)
+    view = np.lib.stride_tricks.sliding_window_view(arr, (window, window))[::stride, ::stride]
+    ny, nx = view.shape[:2]
+    return view.reshape(ny * nx, window * window).any(axis=1).reshape(ny, nx)

@@ -1,4 +1,4 @@
-"""Byte identity of the day/dusk fast paths against their plain oracles.
+"""Byte identity of the day/dusk and dark fast paths against their plain oracles.
 
 The array NMS, the compare-and-add orientation fold, the ``< 0`` binning
 fix-up, the pad-free central difference, the row/column-split bilinear
@@ -7,12 +7,21 @@ resize and the in-place luma must reproduce the straightforward versions in
 tied scores, duplicate and touching boxes, IoU exactly at the threshold,
 angles of +-pi, +-0 and tiny negatives, 1-pixel-wide planes, same-size and
 single-row resizes.
+
+So must the dark path's kernels: the direct-index histogram (NaN, +-inf,
+values just outside [0, 1], exact 0.0 and 1.0, blocks of any length), the
+banded YCbCr split (odd planes, band boundaries, non-finite pixels, and the
+same warnings), the integer decimation (every vote ``k / f**2`` and its
+neighbours) and the separable window occupancy (odd, non-square and
+smaller-than-window masks).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import warnings
+
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,10 +33,12 @@ from repro.features.gradients import (
     orientation_bins,
 )
 from repro.features.hog import cell_histograms_batch, cell_histograms_from_field
-from repro.imaging.color import luminance
+from repro.imaging.color import BAND_ROWS, luminance, split_channels
 from repro.imaging.filters import central_gradient
 from repro.imaging.geometry import Rect, nms_boxes, non_max_suppression
-from repro.imaging.resize import resize_bilinear
+from repro.imaging.resize import downsample_binary, resize_bilinear
+from repro.imaging.threshold import histogram
+from repro.pipelines.dark import window_occupancy
 from tests.equivalence import oracles
 
 pytestmark = pytest.mark.equivalence
@@ -253,3 +264,141 @@ class TestResizeAndLuma:
     @settings(max_examples=100, deadline=None)
     def test_luminance_matches_expression(self, rgb):
         assert_bytes_equal(luminance(rgb), oracles.luminance(rgb))
+
+
+#: Values a histogram or colour kernel must treat exactly like its oracle.
+SPECIAL_VALUES = [
+    np.nan,
+    np.inf,
+    -np.inf,
+    0.0,
+    -0.0,
+    1.0,
+    np.nextafter(1.0, 2.0),
+    np.nextafter(1.0, 0.0),
+    np.nextafter(0.0, -1.0),
+    np.nextafter(0.0, 1.0),
+    -1e-300,
+    0.5,
+    255.0 / 256.0,
+    1.0 / 256.0,
+]
+pixel_values = st.floats(-0.25, 1.25) | st.floats(0.0, 1.0) | st.sampled_from(SPECIAL_VALUES)
+
+
+def recorded(fn, *args):
+    """(result, set of (category, message) warnings) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+class TestHistogram:
+    @given(
+        st.tuples(st.integers(1, 9), st.integers(1, 13)).flatmap(
+            lambda shape: arrays(np.float64, shape, elements=pixel_values)
+        ),
+        st.sampled_from([2, 4, 16, 64, 256, 512, 3, 100, 255]),
+        st.sampled_from([(0.0, 1.0), (0, 1), (-0.5, 0.5), (0.0, 2.0), (0.1, 0.9)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([[1.0, 0.0, -0.0, np.nan]]), 256, (0.0, 1.0))
+    @example(np.array([[np.nan, np.inf, -np.inf]]), 256, (0.0, 1.0))  # nothing in range
+    def test_matches_np_histogram(self, plane, bins, value_range):
+        actual, warned = recorded(histogram, plane, bins, value_range)
+        expected, expected_warned = recorded(oracles.histogram, plane, bins, value_range)
+        assert_bytes_equal(actual, expected)
+        assert warned == expected_warned
+
+    @pytest.mark.parametrize("size", [65535, 65536, 65537, 3 * 65536 + 5])
+    def test_block_boundaries(self, size):
+        values = np.random.default_rng(size).random(size)
+        values[::97] = np.nan
+        values[::89] = 1.0
+        values[::83] = np.nextafter(1.0, 2.0)
+        values[::79] = -0.0
+        plane = values.reshape(1, size)
+        assert_bytes_equal(histogram(plane), oracles.histogram(plane, 256, (0.0, 1.0)))
+
+
+def rgb_planes(max_height: int):
+    shapes = st.tuples(st.integers(1, max_height), st.integers(1, 7))
+    return shapes.flatmap(lambda shape: arrays(np.float64, (*shape, 3), elements=pixel_values))
+
+
+class TestSplitChannels:
+    @given(rgb_planes(2 * BAND_ROWS + 3))
+    @settings(max_examples=200, deadline=None)
+    @example(np.full((BAND_ROWS + 1, 3, 3), np.inf))
+    @example(np.zeros((1, 1, 3)))
+    def test_matches_stacked_ycbcr(self, rgb):
+        planes, warned = recorded(split_channels, rgb)
+        expected, expected_warned = recorded(oracles.split_channels, rgb)
+        for plane, oracle in zip(planes, expected):
+            assert_bytes_equal(plane, oracle)
+            assert plane.flags.c_contiguous
+        assert warned == expected_warned
+
+
+def masks_with_votes():
+    """(mask, factor, vote): every vote ``k / f**2`` and both its float neighbours."""
+
+    def build(factor):
+        area = factor * factor
+        exact = [k / area for k in range(1, area + 1)]
+        votes = exact + [np.nextafter(v, 0.0) for v in exact]
+        votes += [np.nextafter(v, 2.0) for v in exact if np.nextafter(v, 2.0) <= 1.0]
+        shape = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
+            lambda tiles: (tiles[0] * factor, tiles[1] * factor)
+        )
+        mask = shape.flatmap(lambda s: arrays(np.bool_, s))
+        return st.tuples(mask, st.just(factor), st.sampled_from(votes))
+
+    return st.integers(1, 4).flatmap(build)
+
+
+class TestDownsampleBinary:
+    @given(masks_with_votes())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_float_tile_mean(self, case):
+        mask, factor, vote = case
+        assert_bytes_equal(
+            downsample_binary(mask, factor, vote), oracles.downsample_binary(mask, factor, vote)
+        )
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_every_count_at_every_exact_vote(self, factor):
+        # One tile per set-pixel count 0..f**2, so each vote k/f**2 splits them.
+        area = factor * factor
+        mask = np.zeros((factor, factor * (area + 1)), dtype=bool)
+        for count in range(area + 1):
+            mask.reshape(factor, area + 1, factor)[:, count].flat[:count] = True
+        for k in range(1, area + 1):
+            for vote in (k / area, np.nextafter(k / area, 0.0)):
+                assert_bytes_equal(
+                    downsample_binary(mask, factor, vote),
+                    oracles.downsample_binary(mask, factor, vote),
+                )
+
+
+mask_values = st.sampled_from([0.0, 0.0, 0.0, 1.0, -0.0, np.nan])
+sparse_masks = st.tuples(st.integers(1, 30), st.integers(1, 30)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=mask_values)
+)
+
+
+class TestWindowOccupancy:
+    @given(sparse_masks)
+    @settings(max_examples=300, deadline=None)
+    @example(np.zeros((8, 30)))  # shorter than a window
+    @example(np.zeros((30, 8)))  # narrower than a window
+    @example(np.eye(9))
+    def test_matches_full_window_copy(self, mask):
+        assert_bytes_equal(window_occupancy(mask), oracles.window_occupancy(mask))
+
+    @pytest.mark.parametrize(("row", "col"), [(0, 0), (8, 8), (9, 10), (20, 0), (20, 22)])
+    def test_single_lit_pixel(self, row, col):
+        mask = np.zeros((21, 23), dtype=bool)
+        mask[row, col] = True
+        assert_bytes_equal(window_occupancy(mask), oracles.window_occupancy(mask))

@@ -153,6 +153,17 @@ class TestDark:
         mask = np.random.default_rng(seed).random((40, 70)) < 0.12
         assert np.array_equal(batched.dbn_grid(mask), reference.dbn_grid(mask))
 
+    @pytest.mark.parametrize("shape", [(8, 30), (30, 8), (9, 9), (10, 11), (31, 17), (17, 64)])
+    def test_dbn_grid_identical_on_odd_masks(self, dark_pair, shape):
+        # The reference finds occupied windows from a full copy of every
+        # window, so this pins the batched path's separable OR as well.
+        batched, reference = dark_pair
+        mask = np.random.default_rng(sum(shape)).random(shape) < 0.08
+        mask[-1, -1] = True  # a lit pixel only the last row/column of windows sees
+        grid_b, grid_r = batched.dbn_grid(mask), reference.dbn_grid(mask)
+        assert grid_b.shape == grid_r.shape
+        assert np.array_equal(grid_b, grid_r)
+
     def test_dbn_grid_chunk_size_irrelevant(self, dark_detector, dark_frame):
         # The chunked hot path must not depend on dbn_batch, only on bytes.
         mask = dark_detector.preprocess(dark_frame.rgb)

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from repro.errors import ImageError
 from repro.imaging.color import (
     luminance,
-    redness,
     rgb_to_ycbcr,
     split_channels,
 )
@@ -74,8 +73,8 @@ class TestHelpers:
         rgb = rng.random((5, 7, 3))
         assert np.allclose(luminance(rgb), rgb_to_ycbcr(rgb)[..., 0])
 
-    def test_redness_ranks_red_over_white(self):
+    def test_cr_ranks_red_over_white(self):
         red = np.zeros((1, 1, 3))
         red[..., 0] = 1.0
         white = np.ones((1, 1, 3))
-        assert redness(red)[0, 0] > redness(white)[0, 0]
+        assert split_channels(red)[2][0, 0] > split_channels(white)[2][0, 0]

@@ -1,4 +1,4 @@
-"""Tests for repro.imaging.resize: area/binary downsample, bilinear, pyramid."""
+"""Tests for repro.imaging.resize: binary downsample, bilinear, pyramid."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ImageError
 from repro.imaging.resize import (
-    downsample_area,
     downsample_binary,
     pyramid_scales,
     resize_bilinear,
@@ -16,23 +15,17 @@ from repro.imaging.resize import (
 
 
 class TestDownsample:
-    def test_area_average(self):
-        img = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = downsample_area(img, 2)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx(0.5)
+    def test_binary_factor_one_identity(self):
+        mask = np.random.default_rng(0).random((4, 6)) < 0.5
+        assert np.array_equal(downsample_binary(mask, 1, vote=1.0), mask)
 
-    def test_area_factor_one_identity(self):
-        img = np.random.default_rng(0).random((4, 6))
-        assert np.allclose(downsample_area(img, 1), img)
-
-    def test_area_rejects_misaligned(self):
+    def test_binary_rejects_misaligned(self):
         with pytest.raises(ImageError):
-            downsample_area(np.ones((5, 6)), 2)
+            downsample_binary(np.ones((5, 6), dtype=bool), 2)
 
     def test_hdtv_to_processing_resolution(self):
-        img = np.zeros((1080 // 4, 1920 // 4))  # shrunk proxy keeps ratio
-        out = downsample_area(img, 3)
+        mask = np.zeros((1080 // 4, 1920 // 4), dtype=bool)  # shrunk proxy keeps ratio
+        out = downsample_binary(mask, 3)
         assert out.shape == (90, 160)
 
     def test_binary_vote(self):
